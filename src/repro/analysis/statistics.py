@@ -15,10 +15,9 @@ mediator-setting baseline demonstrates).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-from scipy import stats
 
 from repro.core.result import MediationResult
 from repro.errors import ProtocolError
@@ -128,12 +127,49 @@ def byte_uniformity(material: bytes, alpha: float = 1e-6) -> UniformityReport:
             f"{len(material)}"
         )
     counts = Counter(material)
-    observed = [counts.get(value, 0) for value in range(256)]
-    chi2, p_value = stats.chisquare(observed)
-    return UniformityReport(
-        sample_bytes=len(material), chi2=float(chi2), p_value=float(p_value),
-        alpha=alpha,
+    expected = len(material) / 256
+    chi2 = sum(
+        (counts.get(value, 0) - expected) ** 2 / expected
+        for value in range(256)
     )
+    return UniformityReport(
+        sample_bytes=len(material), chi2=chi2,
+        p_value=chi_square_tail(chi2, 255), alpha=alpha,
+    )
+
+
+def chi_square_tail(chi2: float, dof: int) -> float:
+    """P[X >= chi2] for X chi-square with ``dof`` degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(dof/2, chi2/2):
+    below ``a + 1`` by the series for the lower tail P = 1 - Q, above it
+    by Lentz's continued fraction for Q (Numerical Recipes, §6.2).
+    """
+    a, x = dof / 2, chi2 / 2
+    if x <= 0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        denominator = a
+        while term > total * 1e-17:
+            denominator += 1
+            term *= x / denominator
+            total += term
+        return 1 - scale * total
+    b = x + 1 - a
+    c, d = 1 / 1e-300, 1 / b
+    fraction = d
+    for i in range(1, 10_000):
+        an, b = -i * (i - a), b + 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > 1e-300 else 1e-300)
+        c = b + an / c
+        c = c if abs(c) > 1e-300 else 1e-300
+        fraction *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return scale * fraction
 
 
 def mediator_ciphertext_uniformity(

@@ -48,7 +48,7 @@ from repro.crypto.backend import (
 )
 from repro.crypto.engine import CryptoEngine, set_engine
 from repro.errors import ParameterError
-from repro.faults import FaultInjector, FaultPlan, FaultyTransport
+from repro.faults import FaultInjector, FaultPlan, FaultyStorage, FaultyTransport
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import Network
 from repro.mediation.client import default_homomorphic_scheme
@@ -56,7 +56,7 @@ from repro.errors import StorageError
 from repro.relational import csvio
 from repro.relational.datagen import WorkloadSpec, Workload, generate
 from repro.relational.relation import Relation
-from repro.storage import FaultyStorage, StorageBackend, storage_from_spec
+from repro.storage import StorageBackend, storage_from_spec
 from repro.telemetry import (
     MetricsRegistry,
     MetricsScrapeServer,
@@ -165,7 +165,7 @@ def _open_storage(args, injector=None) -> StorageBackend | None:
     """``--storage`` spec -> opened backend (fail fast on a bad spec).
 
     With an active fault plan the backend is wrapped in
-    :class:`~repro.storage.FaultyStorage` so plans with ``site:
+    :class:`~repro.faults.FaultyStorage` so plans with ``site:
     "storage"`` rules reach it.
     """
     spec = getattr(args, "storage", None)

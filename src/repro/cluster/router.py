@@ -24,9 +24,9 @@ router, not a protocol participant:
   does the client see BUSY and back off under its own retry policy.
   This is the whole drain/rebalance protocol: drain a shard, and new
   sessions flow around it while its in-flight sessions finish.
-* **Legacy traffic degrades gracefully.**  Session-less envelopes share
-  the ``"legacy"`` affinity slot, so a pre-session client talks to one
-  consistent shard — exactly the single-mediator contract.
+* **Every client is session-affine.**  A client sending outside any
+  session scope stamps its transport's own session id, so it talks to
+  one consistent shard — exactly the single-mediator contract.
 
 Control frames: HELLO is answered locally (the router *is* the
 mediator endpoint as far as handshakes go), session-scoped FETCH and
@@ -44,7 +44,6 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
-from repro.session import LEGACY_SESSION
 from repro.telemetry.exporters import prometheus_exposition
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import SpanContext, Tracer
@@ -453,23 +452,23 @@ class ShardRouter:
                 codec.encode_value({"error": f"undecodable envelope: {exc}"}),
             )
             return False
-        session_key = session_id if session_id is not None else LEGACY_SESSION
         span = None
         parent = SpanContext.from_wire(trace)
         if parent is not None:
-            attributes: dict = {
-                "kind": "route",
-                "sequence": sequence,
-                "wire_bytes": codec.FRAME_HEADER_BYTES + len(payload),
-            }
-            if session_id is not None:
-                attributes["session"] = session_id
             span = self.tracer.start_span(
-                f"route:{kind}", "router", parent=parent, attributes=attributes
+                f"route:{kind}",
+                "router",
+                parent=parent,
+                attributes={
+                    "kind": "route",
+                    "sequence": sequence,
+                    "wire_bytes": codec.FRAME_HEADER_BYTES + len(payload),
+                    "session": session_id,
+                },
             )
         try:
             response = await self._route(
-                session_key, codec.DATA, payload, channel
+                session_id, codec.DATA, payload, channel
             )
         except NetworkError:
             # The session's shard is gone; its shared-nothing state
@@ -480,7 +479,7 @@ class ShardRouter:
                 self.tracer.end_span(span)
             return True
         if span is not None:
-            shard = self._affinity.get(session_key)
+            shard = self._affinity.get(session_id)
             if shard is not None:
                 span.attributes["shard"] = shard
             self.tracer.end_span(span)

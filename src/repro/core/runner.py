@@ -74,7 +74,7 @@ def run_join_query(
       :func:`~repro.session.session_scope`: every transport send, fault
       decision, and span below carries the id, and endpoints key their
       per-session state by it.  ``None`` leaves any enclosing scope in
-      force (or runs session-less, the legacy behaviour).
+      force; with none, a TCP transport stamps its own session id.
     * ``hardening`` opts into the leakage-hardened oblivious mode
       (``True``, a :class:`~repro.hardening.PaddingPolicy`, or a
       prepared :class:`~repro.hardening.Hardening` context); ``None``

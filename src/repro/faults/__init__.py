@@ -13,7 +13,9 @@ and *where* it is enacted:
 * :mod:`repro.faults.leaky` — :class:`LeakyTransport`: a deliberately
   size-leaking decorator, the canary proving the CI leakage gate bites,
 * :mod:`repro.faults.proxy` — :class:`ChaosProxy`: an in-process TCP
-  relay injecting faults below the carrier, at the frame level.
+  relay injecting faults below the carrier, at the frame level,
+* :mod:`repro.faults.storage` — :class:`FaultyStorage`: decorator
+  injecting faults into any storage backend.
 
 See ``docs/robustness.md`` for the fault model and a plan cookbook;
 ``repro query --fault-plan plan.json`` runs one from the CLI.
@@ -29,6 +31,7 @@ from repro.faults.plan import (
 )
 from repro.faults.leaky import PAD_KIND, LeakyTransport
 from repro.faults.proxy import ChaosProxy
+from repro.faults.storage import FaultyStorage
 from repro.faults.transport import FaultyTransport
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
+    "FaultyStorage",
     "FaultyTransport",
     "LeakyTransport",
     "PAD_KIND",

@@ -30,7 +30,7 @@ action         transport (FaultyTransport)  proxy (ChaosProxy)
 ``crash``      party dies (permanent)       proxy dies (port goes dark)
 =============  ==========================  =============================
 
-The ``storage`` site (:class:`~repro.storage.faulty.FaultyStorage`)
+The ``storage`` site (:class:`~repro.faults.storage.FaultyStorage`)
 observes backend operations instead of messages — sender and receiver
 are both the namespace, and ``kind`` is ``storage:<operation>`` (e.g.
 ``storage:cache_get``).  Supported actions: ``delay`` (slow I/O),
@@ -73,7 +73,7 @@ class FaultRule:
     kind: str | None = None
     party: str | None = None
     #: Matches only messages carrying this session id; ``None`` matches
-    #: any session, including legacy session-less traffic.
+    #: any session, and messages sent outside any session scope.
     session: str | None = None
     #: Fire exactly on the N-th matching observation (1-based).
     occurrence: int | None = None

@@ -205,12 +205,13 @@ class ChaosProxy:
         return True
 
     @staticmethod
-    def _peek(payload: bytes) -> tuple[str, str, str, str | None] | None:
-        """(sender, receiver, kind, session) of a DATA payload, if decodable."""
+    def _peek(payload: bytes) -> tuple[str, str, str, str] | None:
+        """(sender, receiver, kind, session) of a DATA payload, if it
+        parses; the body is skipped, never decoded."""
         try:
             (
                 _, sender, receiver, kind, _, _, _, session,
-            ) = codec.decode_envelope(payload)
+            ) = codec.peek_envelope(payload)
         except Exception:
             return None
         return sender, receiver, kind, session

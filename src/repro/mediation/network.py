@@ -35,12 +35,13 @@ from repro.transport.base import (  # re-exported for compatibility
 #: Fixed per-message envelope overhead (headers, routing) in bytes.
 #:
 #: Reconciled against the real wire format (see ``docs/transport.md``
-#: and ``tests/transport/test_sizing_reconciliation.py``): the TCP
-#: codec's envelope costs ``FRAME_HEADER_BYTES`` (8) for the frame
-#: header plus the encoded ``(sequence, sender, receiver, kind)``
-#: prefix — roughly 40-70 bytes for the party and kind names the
-#: protocols use.  64 stays a faithful structural constant.
-ENVELOPE_BYTES = 64
+#: and ``tests/transport/test_sizing_reconciliation.py``): a TCP frame
+#: costs ``FRAME_HEADER_BYTES`` (8) for the frame header plus the
+#: encoded ``(sequence, sender, receiver, kind, trace, request_id,
+#: session_id)`` slots around the body — 94-116 bytes for the party
+#: and kind names the protocols use, an untraced run, an
+#: ``<8 hex>:<sequence>`` request id and a 16-hex session id.
+ENVELOPE_BYTES = 102
 
 __all__ = [
     "ENVELOPE_BYTES",

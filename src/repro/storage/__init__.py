@@ -25,7 +25,6 @@ from repro.storage.base import (
     StorageBackend,
     relation_fingerprint,
 )
-from repro.storage.faulty import FaultyStorage
 from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite import SQLiteBackend
 
@@ -64,7 +63,6 @@ __all__ = [
     "KIND_DAS_TUPLE",
     "KIND_PM_COEFFS",
     "CacheStats",
-    "FaultyStorage",
     "IndexCache",
     "MemoryBackend",
     "SQLiteBackend",

@@ -7,14 +7,13 @@ credentials — must survive a real wire.  This module defines:
 * a **value codec**: a recursive, type-tagged binary encoding of the
   payload trees the protocols exchange (primitives, containers, and a
   registry of domain extension types),
-* an **envelope codec**: the ``(sequence, sender, receiver, kind, body)``
-  tuple every transmitted message is wrapped in, optionally extended
-  with a sixth ``(trace_id, span_id)`` element carrying distributed
-  trace context (see ``docs/observability.md``), a seventh
-  ``request_id`` string that endpoints deduplicate re-deliveries on
-  (see ``docs/robustness.md``), and an eighth ``session_id`` string
-  that endpoints key per-session protocol state by (see
-  ``docs/transport.md``),
+* an **envelope codec**: the ``(sequence, sender, receiver, kind, body,
+  trace, request_id, session_id)`` tuple every transmitted message is
+  wrapped in — ``trace`` is the ``(trace_id, span_id)`` distributed
+  trace context or ``None`` (see ``docs/observability.md``),
+  ``request_id`` the token endpoints deduplicate re-deliveries on (see
+  ``docs/robustness.md``), and ``session_id`` the id endpoints key
+  per-session protocol state by (see ``docs/transport.md``),
 * **framing**: an 8-byte frame header (magic, version, frame type,
   payload length) plus asyncio stream helpers.
 
@@ -591,95 +590,54 @@ def encode_envelope(
     receiver: str,
     kind: str,
     body: Any,
-    trace: tuple[str, str] | None = None,
-    request_id: str | None = None,
-    session_id: str | None = None,
+    trace: tuple[str, str] | None,
+    request_id: str,
+    session_id: str,
 ) -> bytes:
     """Encode one message envelope (the payload of a DATA frame).
 
-    ``trace`` is an optional ``(trace_id, span_id)`` pair identifying
-    the sender-side span this message belongs to.  ``request_id`` is an
-    optional globally unique delivery token: endpoints deduplicate DATA
-    frames on it, which is what makes sender-side re-delivery after an
-    ambiguous failure safe (see ``docs/robustness.md``).  ``session_id``
-    names the client session the message belongs to; endpoints key all
+    Every envelope has the same eight slots.  ``trace`` is the
+    ``(trace_id, span_id)`` pair of the sender-side span this message
+    belongs to, or ``None`` outside a traced run.  ``request_id`` is a
+    globally unique delivery token: endpoints deduplicate DATA frames on
+    it, which is what makes sender-side re-delivery after an ambiguous
+    failure safe (see ``docs/robustness.md``).  ``session_id`` names the
+    client session the message belongs to; endpoints key all
     per-session protocol state (views, dedupe windows, telemetry) by it
-    (see ``docs/transport.md``).  Envelopes carrying none of the three
-    keep the historical 5-tuple wire shape byte-for-byte; each later
-    element forces the shape that includes it, with the skipped slots
-    explicitly ``None``.
+    (see ``docs/transport.md``).
     """
-    if session_id is not None:
-        return encode_value(
-            (sequence, sender, receiver, kind, body, trace, request_id,
-             session_id)
-        )
-    if request_id is not None:
-        return encode_value(
-            (sequence, sender, receiver, kind, body, trace, request_id)
-        )
-    if trace is None:
-        return encode_value((sequence, sender, receiver, kind, body))
-    return encode_value((sequence, sender, receiver, kind, body, trace))
+    return encode_value(
+        (sequence, sender, receiver, kind, body, trace, request_id, session_id)
+    )
 
 
 def decode_envelope(
     data: bytes,
-) -> tuple[
-    int, str, str, str, Any,
-    tuple[str, str] | None, str | None, str | None,
-]:
-    """Inverse of :func:`encode_envelope`, with shape validation.
-
-    Always returns an 8-tuple ``(sequence, sender, receiver, kind,
-    body, trace, request_id, session_id)``; the trace context, request
-    id, and session id are ``None`` when the envelope did not carry
-    them.
-    """
+) -> tuple[int, str, str, str, Any, tuple[str, str] | None, str, str]:
+    """Inverse of :func:`encode_envelope`, with shape validation."""
     return _validated_envelope(decode_value(data))
 
 
 def _validated_envelope(
     envelope: Any,
-) -> tuple[
-    int, str, str, str, Any,
-    tuple[str, str] | None, str | None, str | None,
-]:
-    """Shape-validate a decoded envelope tuple into the 8-tuple form."""
+) -> tuple[int, str, str, str, Any, tuple[str, str] | None, str, str]:
+    """Check a decoded envelope: an 8-tuple, each slot its own type."""
     if (
         not isinstance(envelope, tuple)
-        or len(envelope) not in (5, 6, 7, 8)
+        or len(envelope) != 8
         or not isinstance(envelope[0], int)
         or not all(isinstance(part, str) for part in envelope[1:4])
     ):
         raise ValueCodecError("malformed message envelope")
-    if len(envelope) == 5:
-        return (*envelope, None, None, None)
-    trace = envelope[5]
+    _, _, _, _, _, trace, request_id, session_id = envelope
     if trace is not None and (
         not isinstance(trace, tuple)
         or len(trace) != 2
         or not all(isinstance(part, str) for part in trace)
     ):
         raise ValueCodecError("malformed envelope trace context")
-    if len(envelope) == 6:
-        if trace is None:
-            # The 6-element shape always carries a real trace context.
-            raise ValueCodecError("malformed envelope trace context")
-        return (*envelope, None, None)
-    request_id = envelope[6]
-    if len(envelope) == 7:
-        # The 7-element shape always carries a real request id.
-        if not isinstance(request_id, str) or not request_id:
-            raise ValueCodecError("malformed envelope request id")
-        return (*envelope, None)
-    # 8-element shape: the request-id slot may be None, the session id
-    # is always a real identifier (it is what forced this shape).
-    if request_id is not None and (
-        not isinstance(request_id, str) or not request_id
-    ):
+    if not isinstance(request_id, str) or not request_id:
         raise ValueCodecError("malformed envelope request id")
-    session_id = envelope[7]
     if not isinstance(session_id, str) or not session_id:
         raise ValueCodecError("malformed envelope session id")
     return envelope
@@ -782,11 +740,10 @@ class _Skimmer:
         tag = self._take(1)[0]
         if tag != _T_TUPLE:
             raise ValueCodecError("malformed message envelope")
-        count = self._count()
-        if count not in (5, 6, 7, 8):
+        if self._count() != 8:
             raise ValueCodecError("malformed message envelope")
         slots: list[Any] = []
-        for index in range(count):
+        for index in range(8):
             if index == 4:
                 self._skip()       # the body — never decoded
                 slots.append(None)
@@ -801,10 +758,7 @@ class _Skimmer:
 
 def peek_envelope(
     data: bytes,
-) -> tuple[
-    int, str, str, str, None,
-    tuple[str, str] | None, str | None, str | None,
-]:
+) -> tuple[int, str, str, str, None, tuple[str, str] | None, str, str]:
     """Routing fields of an encoded envelope, without decoding the body.
 
     Same 8-tuple as :func:`decode_envelope` — ``(sequence, sender,

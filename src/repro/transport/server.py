@@ -24,7 +24,7 @@ Endpoints speak a tiny control protocol next to DATA frames:
   open refused for capacity is answered with ``BUSY`` instead.
 * misdelivered or malformed frames -> ``ERROR {error}``.
 
-**Sessions.**  Every envelope may carry a ``session_id`` (the 8th
+**Sessions.**  Every envelope carries a ``session_id`` (its 8th
 element); the endpoint keys all per-session protocol state — the
 session's view of the traffic, its request-id dedupe window, its
 ``recv:`` span attribution — in a :class:`~repro.session.SessionRegistry`
@@ -35,17 +35,15 @@ slots) while a per-session lock serializes steps *within* each session.
 When ``max_sessions`` live sessions exist, the first message of any new
 session is answered with a ``BUSY`` frame — the client transport backs
 off under its retry policy and surfaces
-:class:`~repro.errors.ServerBusy` when the budget runs out.  Legacy
-session-less traffic shares one ``"legacy"`` state slot and is never
-refused, preserving the pre-session wire behaviour exactly.
+:class:`~repro.errors.ServerBusy` when the budget runs out.
 
 Every endpoint owns a private span collector and metrics registry —
 independent of the process-wide installed telemetry — so a ``repro
 serve`` process accumulates its party's observations and hands them to
 whichever querying process asks.
 
-Delivery is **effectively-once**: envelopes that carry a ``request_id``
-are deduplicated — a re-delivered frame (sender retry after a lost
+Delivery is **effectively-once**: envelopes are deduplicated on their
+``request_id`` — a re-delivered frame (sender retry after a lost
 acknowledgement, or a chaos proxy duplicating traffic) is answered with
 the original ACK and recorded exactly once.  This is the receiver half
 of the idempotent re-delivery contract in ``docs/robustness.md``.
@@ -63,12 +61,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from repro.errors import NetworkError
-from repro.session import (
-    DEFAULT_SESSION_TTL,
-    LEGACY_SESSION,
-    Session,
-    SessionRegistry,
-)
+from repro.session import DEFAULT_SESSION_TTL, Session, SessionRegistry
 from repro.telemetry.exporters import prometheus_exposition
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import SpanContext, Tracer
@@ -212,9 +205,9 @@ class PartyServer:
         The graceful half of shard removal (see ``docs/cluster.md``):
         a draining endpoint answers the first message of any *new*
         session with BUSY — upstream routers fail the session over to a
-        live shard — while known live sessions (and legacy session-less
-        traffic) proceed untouched.  Once :meth:`active_sessions`
-        reaches zero the process can exit without failing anyone.
+        live shard — while known live sessions proceed untouched.  Once
+        :meth:`active_sessions` reaches zero the process can exit without
+        failing anyone.
         """
         self._draining = True
 
@@ -223,12 +216,9 @@ class PartyServer:
         return self._draining
 
     def active_sessions(self) -> int:
-        """Live sessions excluding the legacy slot — what a draining
-        endpoint waits on before shutting down."""
-        return sum(
-            1 for session_id in self.sessions.ids()
-            if session_id != LEGACY_SESSION
-        )
+        """Live sessions — what a draining endpoint waits on before
+        shutting down."""
+        return len(self.sessions)
 
     # -- connection handling ----------------------------------------------
 
@@ -323,7 +313,7 @@ class PartyServer:
         # message waits on its session without pinning a worker slot.
         async with session.lock, self._worker_slots:
             acked: dict[str, dict] = session.state.setdefault("acked", {})
-            if request_id is not None and request_id in acked:
+            if request_id in acked:
                 # Idempotent re-delivery: the sender retried a message
                 # we already recorded (its copy of our ACK was lost, or
                 # a chaos proxy duplicated the frame).  Re-acknowledge
@@ -371,10 +361,9 @@ class PartyServer:
             acknowledgement = {
                 "sequence": sequence, "wire_bytes": record.wire_bytes,
             }
-            if request_id is not None:
-                acked[request_id] = acknowledgement
-                while len(acked) > DEDUPE_WINDOW:
-                    acked.pop(next(iter(acked)))
+            acked[request_id] = acknowledgement
+            while len(acked) > DEDUPE_WINDOW:
+                acked.pop(next(iter(acked)))
             await codec.write_frame(
                 writer, codec.ACK, codec.encode_value(acknowledgement)
             )
@@ -382,21 +371,18 @@ class PartyServer:
 
     # -- sessions ----------------------------------------------------------
 
-    def _admit(self, session_id: str | None) -> Session | None:
+    def _admit(self, session_id: str) -> Session | None:
         """The session a message belongs to, or ``None`` for BUSY.
 
-        Legacy session-less traffic shares the ``"legacy"`` slot and is
-        always admitted — the pre-session contract.  A *new* session id
-        arriving while ``max_sessions`` are live is refused; known live
-        sessions are never refused.
+        A *new* session id arriving while ``max_sessions`` are live (or
+        while draining) is refused; known live sessions are never
+        refused.
         """
-        if session_id is None:
-            session_id = LEGACY_SESSION
-        elif session_id not in self.sessions and (
+        opened = session_id not in self.sessions
+        if opened and (
             self._draining or len(self.sessions) >= self.max_sessions
         ):
             return None
-        opened = session_id not in self.sessions
         session = self.sessions.get(session_id)
         if opened:
             self.registry.counter(
@@ -493,34 +479,29 @@ class PartyServer:
     # -- telemetry ---------------------------------------------------------
 
     def _observe(
-        self,
-        record: RemoteRecord,
-        parent: SpanContext | None,
-        session_id: str | None = None,
+        self, record: RemoteRecord, parent: SpanContext | None, session_id: str
     ) -> None:
         """Record one received message into the endpoint collectors.
 
         When the envelope carried trace context, the ``recv:`` span is
         parented on the sender's ``send:`` span — that edge is what
-        stitches per-process traces into one distributed trace.  When it
-        carried a session id, the span is tagged with it, so one
-        session's spans can be harvested (and stitched) independently
-        of every other session's.
+        stitches per-process traces into one distributed trace.  The
+        span is tagged with the session id, so one session's spans can
+        be harvested (and stitched) independently of every other
+        session's.
         """
         if parent is not None:
-            attributes = {
-                "kind": "message",
-                "sender": record.sender,
-                "sequence": record.sequence,
-                "wire_bytes": record.wire_bytes,
-            }
-            if session_id is not None:
-                attributes["session"] = session_id
             span = self.tracer.start_span(
                 f"recv:{record.kind}",
                 self.party,
                 parent=parent,
-                attributes=attributes,
+                attributes={
+                    "kind": "message",
+                    "sender": record.sender,
+                    "sequence": record.sequence,
+                    "wire_bytes": record.wire_bytes,
+                    "session": session_id,
+                },
             )
             self.tracer.end_span(span)
         labels = {

@@ -42,8 +42,9 @@ Concurrency (see ``docs/transport.md``):
   reuses one socket; concurrent sessions fan out without a
   connect-per-send tax.
 * The caller's :func:`~repro.session.session_scope` rides every
-  envelope as its ``session_id``; endpoints key per-session state by
-  it.  An endpoint at capacity answers BUSY, which backs off under the
+  envelope as its ``session_id``; a send outside any scope carries the
+  transport's own session id, minted once at construction.  Endpoints
+  key per-session state by it.  An endpoint at capacity answers BUSY, which backs off under the
   retry policy and surfaces as :class:`~repro.errors.ServerBusy` once
   the budget is exhausted.  Sessions are closed at the endpoints on
   :meth:`TcpTransport.close`.
@@ -65,7 +66,7 @@ from typing import Any, Mapping
 
 from repro.deadline import Deadline, current_deadline
 from repro.errors import DeadlineExceeded, NetworkError, ServerBusy
-from repro.session import current_session_id
+from repro.session import current_session_id, new_session_id
 from repro.telemetry import tracing
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.tracing import Span, Tracer
@@ -147,6 +148,8 @@ class TcpTransport(Transport):
         #: Distinguishes this transport's envelopes in request ids, so
         #: endpoint dedupe never conflates two transports' sequences.
         self._origin = secrets.token_hex(4)
+        #: The session stamped on sends made outside any session scope.
+        self._session_id = new_session_id()
         #: Backoff jitter source.  Deliberately private and seeded so
         #: retries never perturb the protocols' shuffle randomness and
         #: fault-plan replays stay deterministic.
@@ -205,9 +208,8 @@ class TcpTransport(Transport):
         transport loop explicitly.
         """
         self._require_parties(sender, receiver)
-        session_id = current_session_id()
-        if session_id is not None:
-            self._sessions_used.add(session_id)
+        session_id = current_session_id() or self._session_id
+        self._sessions_used.add(session_id)
         with tracing.span(
             f"send:{kind}", sender, kind="message", receiver=receiver
         ) as span:
@@ -215,8 +217,7 @@ class TcpTransport(Transport):
             trace = span.context().to_wire() if span is not None else None
             payload = codec.encode_envelope(
                 sequence, sender, receiver, kind, body,
-                trace=trace, request_id=f"{self._origin}:{sequence}",
-                session_id=session_id,
+                trace, f"{self._origin}:{sequence}", session_id,
             )
             frame = codec.build_frame(codec.DATA, payload)
             self._run(

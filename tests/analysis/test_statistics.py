@@ -1,5 +1,7 @@
 """Tests for the statistical indistinguishability checks."""
 
+import math
+import random
 import secrets
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro import run_join_query
 from repro.analysis.statistics import (
     byte_uniformity,
+    chi_square_tail,
     ciphertext_material,
     commutative_tag_spread,
     mediator_ciphertext_uniformity,
@@ -49,6 +52,55 @@ class TestByteUniformity:
     def test_small_sample_rejected(self):
         with pytest.raises(ProtocolError):
             byte_uniformity(b"tiny")
+
+
+def seeded_material(seed: int, skew: float, size: int) -> bytes:
+    """``size`` bytes drawn with weight ``exp(-skew * value)``: uniform
+    at ``skew == 0``, ever more lopsided above it."""
+    rng = random.Random(seed)
+    weights = [math.exp(-skew * value) for value in range(256)]
+    return bytes(rng.choices(range(256), weights=weights, k=size))
+
+
+#: (seed, skew, size): uniform, mildly and strongly skewed histograms,
+#: with p-values from ~0.5 down to 1e-51 and to underflow.
+HISTOGRAMS = [
+    (1, 0.0, 1024), (2, 0.0, 65536), (3, 0.001, 4096), (4, 0.001, 65536),
+    (5, 0.003, 4096), (6, 0.01, 1024), (7, 0.05, 4096), (8, 0.3, 65536),
+]
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("seed, skew, size", HISTOGRAMS)
+    def test_matches_scipy_chisquare(self, seed, skew, size):
+        stats = pytest.importorskip("scipy.stats")
+        material = seeded_material(seed, skew, size)
+        histogram = [material.count(value) for value in range(256)]
+        chi2, p_value = stats.chisquare(histogram)
+        report = byte_uniformity(material)
+        assert math.isclose(report.chi2, chi2, rel_tol=1e-12)
+        # Relative error 1e-9 wherever the tail is a normal double; below
+        # that both sides have underflowed.
+        assert math.isclose(
+            chi_square_tail(float(chi2), 255), p_value,
+            rel_tol=1e-9, abs_tol=1e-300,
+        )
+        assert math.isclose(
+            report.p_value, p_value, rel_tol=1e-9, abs_tol=1e-300
+        )
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 10, 255])
+    def test_known_tails(self, dof):
+        # Q(a, 0) = 1; with two degrees of freedom the tail is exp(-x/2).
+        assert chi_square_tail(0.0, dof) == 1.0
+        if dof == 2:
+            for chi2 in (0.5, 5.0, 50.0):
+                assert math.isclose(
+                    chi_square_tail(chi2, 2), math.exp(-chi2 / 2),
+                    rel_tol=1e-12,
+                )
+        # The mean (= dof) sits above the median: a tail under one half.
+        assert 0.3 < chi_square_tail(float(dof), dof) < 0.5
 
 
 class TestMediatorMaterial:

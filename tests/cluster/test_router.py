@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import LocalCluster, fetch_router_stats
 from repro.cluster.ring import HashRing
 from repro.errors import NetworkError
-from repro.session import LEGACY_SESSION, session_scope
+from repro.session import session_scope
 from repro.transport import RetryPolicy, TcpTransport, codec
 
 #: Fast-failing policy: BUSY fallthrough tests must not sit out the
@@ -77,14 +77,23 @@ class TestAffinity:
             if other != label:
                 assert server.records == []
 
-    def test_legacy_sessionless_traffic_shares_one_shard(
+    def test_sessionless_traffic_pins_one_shard_per_transport(
         self, cluster, transport
     ):
-        transport.send("client", "mediator", "old-school", {"n": 1})
-        transport.send("client", "mediator", "old-school", {"n": 2})
-        label = cluster.router.affinity_of(LEGACY_SESSION)
-        assert label == owner_of(cluster, LEGACY_SESSION)
-        assert len(cluster.shard_servers[label].records) == 2
+        transport.send("client", "mediator", "unscoped", {"n": 1})
+        transport.send("client", "mediator", "unscoped", {"n": 2})
+        loaded = [
+            label for label, server in cluster.shard_servers.items()
+            if server.records
+        ]
+        assert len(loaded) == 1
+        server = cluster.shard_servers[loaded[0]]
+        assert len(server.records) == 2
+        # Both frames carried the transport's own session id, placed by
+        # the ring like any other session.
+        (session_id,) = server.sessions.ids()
+        assert cluster.router.affinity_of(session_id) == loaded[0]
+        assert owner_of(cluster, session_id) == loaded[0]
 
     def test_sessions_spread_across_shards(self, cluster, transport):
         """With enough sessions both shards carry load — the balance

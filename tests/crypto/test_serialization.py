@@ -1,8 +1,9 @@
-"""Tests for JSON key/credential serialization."""
+"""Tests for JSON key/credential serialization (:mod:`repro.mediation.serialization`)."""
 
 import pytest
 
-from repro.crypto import paillier, serialization
+from repro.crypto import paillier
+from repro.mediation import serialization
 from repro.errors import EncodingError
 
 

@@ -63,7 +63,7 @@ class TestMatching:
         rule = FaultRule(action="drop", session="sess-a")
         assert rule.matches("a", "b", "k", session="sess-a")
         assert not rule.matches("a", "b", "k", session="sess-b")
-        # Legacy session-less traffic never matches a sessioned rule.
+        # Traffic outside any session scope never matches a sessioned rule.
         assert not rule.matches("a", "b", "k", session=None)
         assert not rule.matches("a", "b", "k")
 

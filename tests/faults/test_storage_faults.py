@@ -12,10 +12,10 @@ import pytest
 from repro import Federation, run_join_query
 from repro.core.runner import reference_join
 from repro.errors import StorageError
-from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.faults import FaultInjector, FaultPlan, FaultRule, FaultyStorage
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
-from repro.storage import FaultyStorage, MemoryBackend
+from repro.storage import MemoryBackend
 
 QUERY = "select * from R1 natural join R2"
 

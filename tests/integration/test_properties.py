@@ -49,24 +49,18 @@ def run_on(ca, client, rows_1, rows_2, protocol, config):
     # Wire invariant: every message the protocol produced survives a
     # codec round-trip unchanged, so a TCP run would carry it faithfully.
     for message in federation.network.transcript:
-        encoded = codec.encode_envelope(
-            message.sequence,
-            message.sender,
-            message.receiver,
-            message.kind,
-            message.body,
-        )
-        decoded = codec.decode_envelope(encoded)
-        assert decoded == (
+        envelope = (
             message.sequence,
             message.sender,
             message.receiver,
             message.kind,
             message.body,
             None,  # no trace context attached outside a traced run
-            None,  # no request id attached outside the TCP transport
-            None,  # no session id attached outside a session scope
+            f"origin:{message.sequence}",
+            "session",
         )
+        decoded = codec.decode_envelope(codec.encode_envelope(*envelope))
+        assert decoded == envelope
     return result
 
 

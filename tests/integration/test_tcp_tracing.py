@@ -54,18 +54,23 @@ def build_federation(network=None) -> Federation:
 
 
 class TestEnvelopeTraceContext:
-    def test_untraced_envelope_keeps_legacy_wire_shape(self):
-        encoded = codec.encode_envelope(1, "a", "b", "kind", {"x": 1})
-        assert codec.decode_envelope(encoded) == (
-            1, "a", "b", "kind", {"x": 1}, None, None, None,
+    def test_untraced_envelope_has_eight_slots(self):
+        encoded = codec.encode_envelope(
+            1, "a", "b", "kind", {"x": 1}, None, "r:1", "s"
         )
-        # Byte-identical to a hand-built 5-tuple: old peers interoperate.
-        assert encoded == codec.encode_value((1, "a", "b", "kind", {"x": 1}))
+        assert codec.decode_envelope(encoded) == (
+            1, "a", "b", "kind", {"x": 1}, None, "r:1", "s",
+        )
+        # The same eight slots as a traced envelope, the trace left None:
+        # a frame's shape does not depend on whether tracing is on.
+        assert encoded == codec.encode_value(
+            (1, "a", "b", "kind", {"x": 1}, None, "r:1", "s")
+        )
 
     def test_trace_context_rides_the_envelope(self):
         trace = ("t" * 32, "s" * 16)
         encoded = codec.encode_envelope(
-            7, "S1", "mediator", "tags", [1, 2], trace=trace
+            7, "S1", "mediator", "tags", [1, 2], trace, "r:7", "s"
         )
         decoded = codec.decode_envelope(encoded)
         assert decoded[:5] == (7, "S1", "mediator", "tags", [1, 2])
@@ -74,8 +79,10 @@ class TestEnvelopeTraceContext:
     def test_malformed_trace_context_rejected(self):
         from repro.errors import EncodingError
 
-        bad = codec.encode_value((1, "a", "b", "k", None, ("only-one",)))
-        with pytest.raises(EncodingError):
+        bad = codec.encode_value(
+            (1, "a", "b", "k", None, ("only-one",), "r:1", "s")
+        )
+        with pytest.raises(EncodingError, match="trace"):
             codec.decode_envelope(bad)
 
 

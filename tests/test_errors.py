@@ -20,13 +20,13 @@ import pytest
 from repro import errors
 from repro.crypto import paillier, symmetric
 from repro.crypto.commutative import CommutativeGroup, CommutativeKey
-from repro.crypto import serialization
 from repro.deadline import check_deadline, deadline
 from repro.faults import FaultInjector, FaultPlan, FaultRule, FaultyTransport
 from repro.mediation.access_control import require
 from repro.mediation.datasource import DataSource
 from repro.mediation.network import Network
 from repro.relational import sql
+from repro.relational.encoding import decode_row
 from repro.relational.partition import Partition
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
@@ -142,7 +142,9 @@ TRIGGERS = {
         symmetric.generate_key(), b"short"
     ),
     errors.IntegrityError: _trigger_integrity_error,
-    errors.EncodingError: lambda: serialization.loads("{not json"),
+    errors.EncodingError: lambda: decode_row(  # truncated row field
+        b"\x00\x00\x00\x02i", schema("R", k="int")
+    ),
     errors.SchemaError: lambda: Relation(schema("R", k="int"), [("text",)]),
     errors.QueryError: lambda: sql.parse("select §§ from nowhere"),
     errors.PartitionError: lambda: Partition(frozenset()),

@@ -3,9 +3,9 @@
 An endpoint at ``max_sessions`` refuses a *new* session's traffic with
 a BUSY frame; the client side backs off under its retry policy and
 surfaces :class:`~repro.errors.ServerBusy` once the budget is spent.
-These tests pin the refusal rules: live sessions and legacy
-(session-less) traffic are never refused, BUSY leaves the connection
-healthy, and closing a session frees its slot.
+These tests pin the refusal rules: live sessions are never refused,
+session-less sends are admitted as the transport's own session, BUSY
+leaves the connection healthy, and closing a session frees its slot.
 """
 
 import pytest
@@ -52,14 +52,22 @@ class TestAdmission:
         server = crowded_transport.local_server("S1")
         assert len(server.session_records("first")) == 3
 
-    def test_legacy_traffic_is_exempt_from_admission(self, crowded_transport):
-        with session_scope("first"):
-            crowded_transport.send("client", "S1", "step", {"n": 1})
-        # No session scope: pre-session peers share the legacy slot and
-        # must keep working even at capacity.
-        crowded_transport.send("client", "S1", "legacy-step", {"n": 2})
+    def test_sessionless_traffic_is_admitted_as_a_session(
+        self, crowded_transport
+    ):
+        # No session scope: the send carries the transport's own session
+        # id, which takes the endpoint's one slot like any session ...
+        crowded_transport.send("client", "S1", "unscoped", {"n": 1})
         server = crowded_transport.local_server("S1")
-        assert len(server.session_records("legacy")) == 1
+        (session_id,) = server.sessions.ids()
+        assert len(session_id) == 16
+        # ... so a new scoped session is refused, while later unscoped
+        # sends reuse the live session.
+        with session_scope("second"):
+            with pytest.raises(ServerBusy):
+                crowded_transport.send("client", "S1", "step", {"n": 2})
+        crowded_transport.send("client", "S1", "unscoped", {"n": 3})
+        assert len(server.session_records(session_id)) == 2
 
     def test_busy_leaves_the_connection_healthy(self, crowded_transport):
         with session_scope("first"):
@@ -120,3 +128,23 @@ class TestExplicitSessionFrames:
         assert "ephemeral" in server.sessions
         transport.close()
         assert "ephemeral" not in server.sessions
+
+    def test_sessionless_sends_are_farewelled_on_close(self):
+        host = TcpTransport(retry=FAST)
+        host.register("S1")
+        server = host.local_server("S1")
+        try:
+            client = TcpTransport(
+                endpoints={"S1": host.endpoint_of("S1")}, retry=FAST
+            )
+            client.register("client")
+            client.register("S1")
+            client.send("client", "S1", "unscoped", {"n": 1})
+            (session_id,) = server.sessions.ids()
+            assert len(server.session_records(session_id)) == 1
+            # The endpoint outlives the client: only the farewell frees
+            # the transport's session.
+            client.close()
+            assert server.active_sessions() == 0
+        finally:
+            host.close()

@@ -12,7 +12,7 @@ from repro.core.das import (
 )
 from repro.crypto import hybrid
 from repro.crypto.paillier import PaillierCiphertext, PaillierPublicKey
-from repro.errors import EncodingError, NetworkError
+from repro.errors import EncodingError, NetworkError, ValueCodecError
 from repro.relational.partition import IndexTable, Partition
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
@@ -180,50 +180,75 @@ class TestDomainExtensions:
         roundtrip(relation)
 
 
+#: A well-formed envelope; the rejection tests below break one slot.
+GOOD = (3, "S1", "mediator", "kind", {"a": 1}, None, "abcd:3", "feedc0de00000001")
+
+
+def _rejected_by_both(envelope) -> None:
+    """Both envelope readers refuse the encoded tuple with a value error."""
+    payload = codec.encode_value(envelope)
+    with pytest.raises(ValueCodecError):
+        codec.decode_envelope(payload)
+    with pytest.raises(ValueCodecError):
+        codec.peek_envelope(payload)
+
+
 class TestEnvelopeAndFraming:
     def test_envelope_roundtrip(self):
-        payload = codec.encode_envelope(3, "S1", "mediator", "kind", {"a": 1})
-        assert codec.decode_envelope(payload) == (
-            3, "S1", "mediator", "kind", {"a": 1}, None, None, None,
-        )
+        payload = codec.encode_envelope(*GOOD)
+        assert codec.decode_envelope(payload) == GOOD
+        assert codec.peek_envelope(payload) == GOOD[:4] + (None,) + GOOD[5:]
 
     def test_envelope_roundtrip_with_request_id(self):
         payload = codec.encode_envelope(
-            7, "S1", "mediator", "kind", {"a": 1}, request_id="abcd:7"
+            7, "S1", "mediator", "kind", {"a": 1}, None, "abcd:7", "cafe"
         )
-        assert codec.decode_envelope(payload) == (
-            7, "S1", "mediator", "kind", {"a": 1}, None, "abcd:7", None,
-        )
+        assert codec.decode_envelope(payload)[6] == "abcd:7"
 
     def test_envelope_roundtrip_with_session_id(self):
         payload = codec.encode_envelope(
             9, "S1", "mediator", "kind", {"a": 1},
-            request_id="abcd:9", session_id="feedc0de00000001",
+            ("t" * 32, "s" * 16), "abcd:9", "feedc0de00000001",
         )
         assert codec.decode_envelope(payload) == (
             9, "S1", "mediator", "kind", {"a": 1},
-            None, "abcd:9", "feedc0de00000001",
+            ("t" * 32, "s" * 16), "abcd:9", "feedc0de00000001",
         )
 
     def test_session_only_envelope_roundtrip(self):
+        """Untraced, bodiless: still the full eight-slot shape."""
         payload = codec.encode_envelope(
-            2, "S1", "mediator", "kind", None, session_id="cafe"
+            2, "S1", "mediator", "kind", None, None, "abcd:2", "cafe"
+        )
+        assert payload == codec.encode_value(
+            (2, "S1", "mediator", "kind", None, None, "abcd:2", "cafe")
         )
         assert codec.decode_envelope(payload) == (
-            2, "S1", "mediator", "kind", None, None, None, "cafe",
+            2, "S1", "mediator", "kind", None, None, "abcd:2", "cafe",
         )
 
     def test_malformed_session_id_rejected(self):
-        bad = codec.encode_value((1, "a", "b", "k", None, None, None, 7))
+        bad = codec.encode_value((1, "a", "b", "k", None, None, "r:1", 7))
         with pytest.raises(EncodingError, match="session"):
             codec.decode_envelope(bad)
-        empty = codec.encode_value((1, "a", "b", "k", None, None, None, ""))
+        empty = codec.encode_value((1, "a", "b", "k", None, None, "r:1", ""))
         with pytest.raises(EncodingError, match="session"):
             codec.decode_envelope(empty)
 
     def test_malformed_envelope_rejected(self):
         with pytest.raises(EncodingError, match="envelope"):
             codec.decode_envelope(codec.encode_value(("not", "an", "envelope")))
+
+    @pytest.mark.parametrize("length", [5, 6, 7, 9])
+    def test_every_other_length_is_rejected(self, length):
+        _rejected_by_both((GOOD + ("extra",))[:length])
+
+    @pytest.mark.parametrize("slot", [6, 7], ids=["request_id", "session_id"])
+    @pytest.mark.parametrize("value", [None, ""], ids=["none", "empty"])
+    def test_missing_ids_are_rejected(self, slot, value):
+        envelope = list(GOOD)
+        envelope[slot] = value
+        _rejected_by_both(tuple(envelope))
 
     def test_frame_roundtrip(self):
         frame = codec.build_frame(codec.DATA, b"payload")

@@ -26,7 +26,7 @@ SAMPLES = [
 #: A valid envelope encoding used as the corruption target.
 ENVELOPE = codec.encode_envelope(
     9, "S1", "mediator", "tagged-set", {"tags": [b"\xaa" * 24]},
-    trace=("t" * 32, "s" * 16), request_id="fuzz:9",
+    ("t" * 32, "s" * 16), "fuzz:9", "feedc0de00000009",
 )
 
 

@@ -11,7 +11,9 @@ the two accountings for every message kind the three protocols produce:
   (the additive term absorbs small control messages whose fixed framing
   dominates the payload);
 * the real per-message envelope overhead (frame header + sequence +
-  routing strings) stays within **16 bytes** of ``ENVELOPE_BYTES``.
+  routing strings + request and session ids, built exactly as
+  :meth:`~repro.transport.tcp.TcpTransport.send` builds them) stays
+  within **16 bytes** of ``ENVELOPE_BYTES``.
 
 If a codec or sizing change moves outside these bounds, either fix the
 regression or re-derive the documented tolerance — consciously.
@@ -23,6 +25,7 @@ from repro import Federation, run_join_query
 from repro.mediation.access_control import allow_all
 from repro.mediation.network import ENVELOPE_BYTES
 from repro.mediation.sizing import estimate_size
+from repro.session import new_session_id
 from repro.transport import codec
 
 QUERY = "select * from R1 natural join R2"
@@ -67,6 +70,9 @@ def test_estimate_is_lower_bound_within_tolerance(transcripts, protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_envelope_constant_matches_frame_overhead(transcripts, protocol):
+    # The envelope TcpTransport.send puts on the wire for an untraced
+    # run: an "<8 hex>:<sequence>" request id and a 16-hex session id.
+    origin, session_id = "0" * 8, new_session_id()
     for message in transcripts[protocol]:
         payload = codec.encode_envelope(
             message.sequence,
@@ -74,6 +80,9 @@ def test_envelope_constant_matches_frame_overhead(transcripts, protocol):
             message.receiver,
             message.kind,
             message.body,
+            None,
+            f"{origin}:{message.sequence}",
+            session_id,
         )
         frame_bytes = codec.FRAME_HEADER_BYTES + len(payload)
         overhead = frame_bytes - codec.encoded_size(message.body)

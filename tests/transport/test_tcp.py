@@ -171,7 +171,9 @@ class TestFaults:
         # message to the wrong party: the endpoint must answer ERROR.
         transport.register("mediator")
         host, port = transport.endpoint_of("mediator")
-        payload = codec.encode_envelope(1, "x", "NOT-mediator", "kind", None)
+        payload = codec.encode_envelope(
+            1, "x", "NOT-mediator", "kind", None, None, "raw:1", "raw"
+        )
         with socket.create_connection((host, port)) as raw:
             raw.sendall(codec.build_frame(codec.DATA, payload))
             header = _recv_exactly(raw, codec.FRAME_HEADER_BYTES)
