@@ -144,9 +144,7 @@ def test_paillier_batches():
         ciphertext_sets.add(tuple(c.value for c in ciphertexts))
 
         started = time.perf_counter()
-        decrypted = engine.batch_paillier_decrypt(
-            key, ciphertexts, flavour="crt"
-        )
+        decrypted = engine.batch_paillier_decrypt(key, ciphertexts)
         decrypt_seconds[name] = time.perf_counter() - started
         plaintext_sets.add(tuple(decrypted))
     assert len(ciphertext_sets) == 1, "backends produced diverging ciphertexts"

@@ -3,16 +3,18 @@
 Three legs per protocol, all at production key sizes (2048-bit RSA and
 Paillier moduli, 2048-bit SRA group):
 
-* ``legacy`` — the pre-engine scalar path: Euler-criterion group
+* ``legacy`` — the pre-engine scalar path (:class:`ScalarBaseline`,
+  defined here because nothing else needs it): Euler-criterion group
   membership, Carmichael Paillier decryption, plain (non-CRT) RSA, and
   one primitive call per tuple.
 * ``serial`` — the batched engine without a pool: Jacobi membership,
   CRT Paillier and RSA decryption, batch dispatch in-process.
 * ``pooled`` — the same engine with a 4-worker process pool forced on.
 
-Every leg must produce the identical global result (this doubles as the
-CI divergence check, run in smoke mode with small keys via
-``REPRO_BENCH_SMOKE=1``).  In full mode the run asserts the acceptance
+Every leg must produce the identical global result and the identical
+primitive counts (this doubles as the CI divergence check between the
+fast paths and the scalar reference, run in smoke mode with small keys
+via ``REPRO_BENCH_SMOKE=1``).  In full mode the run asserts the acceptance
 criteria: at least one protocol ≥ 2× end-to-end with 4 workers vs the
 legacy serial path, and CRT Paillier decryption alone ≥ 2× vs
 Carmichael.  Results land in ``benchmarks/out/BENCH_parallel_crypto.json``
@@ -42,10 +44,11 @@ from repro import (
     run_join_query,
     setup_client,
 )
-from repro.crypto import paillier
+from repro.crypto import hybrid, instrumentation, paillier
 from repro.crypto.backend import active_backend
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.homomorphic import PaillierScheme
+from repro.errors import ParameterError
 from repro.mediation.access_control import allow_all
 from repro.relational.algebra import natural_join
 from repro.relational.datagen import WorkloadSpec, generate
@@ -72,6 +75,41 @@ REPORT: dict = {
 }
 
 
+class ScalarBaseline(CryptoEngine):
+    """The pre-engine scalar path: the ``legacy`` leg's engine.
+
+    Overrides the batches whose engine versions take a fast path
+    (Jacobi membership, CRT decryption) with scalar loops making the
+    pre-engine choices; every other batch the protocols call is already
+    a plain loop in a serial engine.  Never pools.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(workers=0)
+
+    def batch_commutative_encrypt(self, key, values, validate=True):
+        # Euler criterion on every input, whatever ``validate`` says.
+        group, powmod = key.group, self.backend.powmod
+        tags = []
+        for value in values:
+            if not (0 < value < group.p and powmod(value, group.q, group.p) == 1):
+                raise ParameterError("input is not in the quadratic-residue domain")
+            instrumentation.record("commutative.encrypt")
+            tags.append(powmod(value, key.exponent, group.p))
+        return tags
+
+    def batch_scheme_decrypt(self, scheme, private_key, ciphertexts):
+        if not isinstance(scheme, PaillierScheme):
+            return [scheme.decrypt(private_key, c) for c in ciphertexts]
+        return [paillier.decrypt_carmichael(private_key, c) for c in ciphertexts]
+
+    def batch_hybrid_decrypt(self, private_key, ciphertexts, associated_data=b""):
+        return [
+            hybrid.decrypt(private_key, c, associated_data, use_crt=False)
+            for c in ciphertexts
+        ]
+
+
 @pytest.fixture(scope="module")
 def env():
     ca = CertificationAuthority(key_bits=RSA_BITS)
@@ -94,7 +132,7 @@ def env():
         )
     )
     engines = {
-        "legacy": CryptoEngine(workers=0, legacy=True),
+        "legacy": ScalarBaseline(),
         "serial": CryptoEngine(workers=0),
         "pooled": CryptoEngine(workers=WORKERS, threshold=1),
     }
@@ -125,6 +163,7 @@ def test_end_to_end_speedups(env):
     protocols: dict[str, dict] = {}
     for protocol, make_config in PROTOCOLS:
         timings: dict[str, float] = {}
+        counts: dict[str, dict] = {}
         for mode, engine in env["engines"].items():
             started = time.perf_counter()
             result = run_join_query(
@@ -138,6 +177,9 @@ def test_end_to_end_speedups(env):
             # Divergence gate (CI smoke job): every engine mode must
             # deliver the reference join, byte for byte.
             assert result.global_result == expected, (protocol, mode)
+            counts[mode] = dict(result.primitive_counter.counts)
+        # The fast paths change how primitives run, never how many.
+        assert counts["legacy"] == counts["serial"] == counts["pooled"], protocol
         protocols[protocol] = {
             "seconds": {mode: round(t, 4) for mode, t in timings.items()},
             "speedup_serial_vs_legacy": round(

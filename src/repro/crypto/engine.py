@@ -9,9 +9,8 @@ the loops into *batch* calls with three independent layers of speedup:
 
 1. **Algorithmic** (always on, also in serial mode): CRT-accelerated
    Paillier decryption and RSA private-key operations, Jacobi-symbol QR
-   membership tests, fixed-base windowed exponentiation tables
-   (:class:`FixedBaseTable`) and precomputed Paillier nonce powers
-   (:class:`PaillierNonceCache`).
+   membership tests and fixed-base windowed exponentiation tables
+   (:class:`FixedBaseTable`).
 2. **Parallelism**: a chunked :class:`~concurrent.futures.
    ProcessPoolExecutor` fans a batch out over ``workers`` processes once
    it reaches ``threshold`` items.  Workers count their primitive
@@ -26,10 +25,11 @@ the loops into *batch* calls with three independent layers of speedup:
 The engine is selected per run: explicitly via the ``workers`` argument
 (wired to the CLI ``--workers`` flag), or via the environment variables
 ``REPRO_CRYPTO_WORKERS`` / ``REPRO_CRYPTO_THRESHOLD``.  ``workers <= 1``
-means strictly serial execution in the calling process.  ``legacy=True``
-reproduces the pre-engine primitive choices (Euler-criterion membership,
-Carmichael decryption, full-exponent RSA, scalar loops) and exists as
-the faithful baseline of ``benchmarks/bench_parallel_crypto.py``.
+means strictly serial execution in the calling process (mode
+``serial``); two or more workers give mode ``pooled``.  The pre-engine
+scalar path (Euler-criterion membership, Carmichael decryption,
+full-exponent RSA) is not an engine mode: it lives in
+``benchmarks/bench_parallel_crypto.py`` as that benchmark's baseline.
 
 Batch results are defined to be *exactly* what mapping the scalar
 primitive over the inputs produces — byte-identical values and identical
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.crypto import backend as _backend
 from repro.crypto import commutative, hybrid, instrumentation, paillier
-from repro.crypto.homomorphic import AdditiveHomomorphicScheme, PaillierScheme
+from repro.crypto.homomorphic import AdditiveHomomorphicScheme
 from repro.crypto.polynomial import EncryptedPolynomial
 from repro.errors import ParameterError
 from repro.telemetry import tracing
@@ -87,8 +86,11 @@ def fixed_base_budget_bytes() -> int:
         raise ParameterError(
             f"{FIXED_BASE_BUDGET_ENV} must be a number, got {raw!r}"
         ) from None
-    if megabytes < 0:
-        raise ParameterError(f"{FIXED_BASE_BUDGET_ENV} must be non-negative")
+    if not math.isfinite(megabytes) or megabytes < 0:
+        raise ParameterError(
+            f"{FIXED_BASE_BUDGET_ENV} must be a finite non-negative number, "
+            f"got {raw!r}"
+        )
     return int(megabytes * 1024 * 1024)
 
 
@@ -202,13 +204,8 @@ def _chunk_pow_shared_base(shared: tuple[int, int, int], chunk: list) -> list[in
 
 
 def _unit_commutative(shared: tuple, value: int) -> int:
-    exponent, group, record_op, check = shared
-    if check == "euler":
-        member = commutative.euler_contains(group, value)
-    elif check == "none":
-        member = 0 < value < group.p
-    else:
-        member = group.contains(value)
+    exponent, group, record_op, validate = shared
+    member = group.contains(value) if validate else 0 < value < group.p
     if not member:
         raise ParameterError("input is not in the quadratic-residue domain")
     instrumentation.record(record_op)
@@ -220,18 +217,8 @@ def _unit_paillier_encrypt(shared: Any, item: tuple) -> Any:
     return paillier.encrypt(shared, plaintext, randomness)
 
 
-def _unit_paillier_encrypt_nonce(shared: Any, item: tuple) -> Any:
-    plaintext, nonce_power = item
-    return paillier.encrypt_with_nonce_power(shared, plaintext, nonce_power)
-
-
-def _unit_paillier_decrypt(shared: tuple, ciphertext: Any) -> int:
-    private_key, flavour = shared
-    if flavour == "carmichael":
-        return paillier.decrypt_carmichael(private_key, ciphertext)
-    if flavour == "crt":
-        return paillier.decrypt_crt(private_key, ciphertext)
-    return paillier.decrypt(private_key, ciphertext)
+def _unit_paillier_decrypt(shared: Any, ciphertext: Any) -> int:
+    return paillier.decrypt(shared, ciphertext)
 
 
 def _unit_scheme_encrypt(shared: tuple, plaintext: int) -> Any:
@@ -240,9 +227,7 @@ def _unit_scheme_encrypt(shared: tuple, plaintext: int) -> Any:
 
 
 def _unit_scheme_decrypt(shared: tuple, ciphertext: Any) -> int:
-    scheme, private_key, flavour = shared
-    if flavour == "carmichael" and isinstance(scheme, PaillierScheme):
-        return paillier.decrypt_carmichael(private_key, ciphertext)
+    scheme, private_key = shared
     return scheme.decrypt(private_key, ciphertext)
 
 
@@ -257,8 +242,8 @@ def _unit_hybrid_encrypt(shared: tuple, plaintext: bytes) -> Any:
 
 
 def _unit_hybrid_decrypt(shared: tuple, ciphertext: Any) -> bytes:
-    private_key, associated_data, use_crt = shared
-    return hybrid.decrypt(private_key, ciphertext, associated_data, use_crt)
+    private_key, associated_data = shared
+    return hybrid.decrypt(private_key, ciphertext, associated_data)
 
 
 # ---------------------------------------------------------------------------
@@ -376,51 +361,6 @@ class FixedBaseTable:
         return sum(len(row) for row in self._rows) * entry
 
 
-class PaillierNonceCache:
-    """Precomputed Paillier nonce powers ``r^n mod n^2`` (BPV-style).
-
-    The exponentiation ``r^n`` dominates Paillier encryption.  Following
-    Boyko-Peinado-Venkatesan, this cache draws a pool of random units
-    ``r_1..r_k`` once, precomputes their ``n``-th powers, and serves each
-    fresh nonce as the product of a random ``subset_size``-element
-    subset: ``r = prod r_i`` is again a unit and ``r^n = prod r_i^n``
-    costs ``subset_size - 1`` multiplications instead of a full
-    exponentiation.  The subset-product distribution is not uniform over
-    ``Z_n*`` (its entropy is ``log2 C(pool_size, subset_size)`` bits),
-    which is why the cache is *opt-in* — callers trade a quantified
-    randomness bound for throughput, as the performance docs discuss.
-    """
-
-    def __init__(
-        self,
-        public_key: paillier.PaillierPublicKey,
-        pool_size: int = 64,
-        subset_size: int = 8,
-    ) -> None:
-        if not 2 <= subset_size <= pool_size:
-            raise ParameterError("need 2 <= subset_size <= pool_size")
-        self.public_key = public_key
-        self.pool_size = pool_size
-        self.subset_size = subset_size
-        n = public_key.n
-        n_sq = public_key.n_squared
-        active = _backend.active_backend()
-        self._powers = [
-            active.powmod(paillier.random_unit(n), n, n_sq)
-            for _ in range(pool_size)
-        ]
-        self._sampler = secrets.SystemRandom()
-
-    def nonce_power(self) -> int:
-        """A fresh ``r^n mod n^2`` for an implicit random unit ``r``."""
-        instrumentation.record("random.paillier_nonce")
-        n_sq = self.public_key.n_squared
-        product = 1
-        for index in self._sampler.sample(range(self.pool_size), self.subset_size):
-            product = product * self._powers[index] % n_sq
-        return product
-
-
 # ---------------------------------------------------------------------------
 # The engine.
 # ---------------------------------------------------------------------------
@@ -456,10 +396,7 @@ class CryptoEngine:
 
     ``workers``: process count; ``None`` reads ``REPRO_CRYPTO_WORKERS``,
     and values ``<= 1`` stay serial.  ``threshold``: minimum batch size
-    before the pool engages.  ``legacy``: reproduce the pre-engine
-    primitive choices (serial loops, Euler-criterion membership,
-    Carmichael Paillier decryption, full-exponent RSA) — the baseline
-    leg of the parallel-crypto benchmark.  ``backend``: a bigint backend
+    before the pool engages.  ``backend``: a bigint backend
     (instance or ``auto``/``python``/``gmpy2`` selector) pinned for
     every batch this engine runs, in the driver process and in pool
     workers alike; ``None`` follows the process-wide installed backend
@@ -470,14 +407,12 @@ class CryptoEngine:
         self,
         workers: int | None = None,
         threshold: int | None = None,
-        legacy: bool = False,
         backend: "_backend.CryptoBackend | str | None" = None,
     ) -> None:
         self.workers = workers_from_env() if workers is None else max(0, workers)
         self.threshold = (
             _threshold_from_env() if threshold is None else max(1, threshold)
         )
-        self.legacy = legacy
         self._backend = None if backend is None else _backend.resolve_backend(backend)
         self._pool: ProcessPoolExecutor | None = None
 
@@ -485,8 +420,6 @@ class CryptoEngine:
 
     @property
     def mode(self) -> str:
-        if self.legacy:
-            return "legacy"
         return "pooled" if self.workers >= 2 else "serial"
 
     @property
@@ -518,7 +451,7 @@ class CryptoEngine:
     # -- dispatch -----------------------------------------------------------
 
     def _use_pool(self, size: int) -> bool:
-        return not self.legacy and self.workers >= 2 and size >= self.threshold
+        return self.workers >= 2 and size >= self.threshold
 
     def _run(
         self,
@@ -538,7 +471,7 @@ class CryptoEngine:
         ) as batch_span:
             if not self._use_pool(len(items)):
                 with _backend.use_backend(backend):
-                    if chunk_fn is not None and not self.legacy:
+                    if chunk_fn is not None:
                         return chunk_fn(shared, items)
                     return [unit(shared, item) for item in items]
             trace = None
@@ -627,8 +560,7 @@ class CryptoEngine:
         membership is guaranteed by construction (ideal-hash outputs,
         tags from a previous round).
         """
-        check = "euler" if self.legacy else ("jacobi" if validate else "none")
-        shared = (key.exponent, key.group, "commutative.encrypt", check)
+        shared = (key.exponent, key.group, "commutative.encrypt", validate)
         return self._run(_unit_commutative, shared, values)
 
     def batch_commutative_decrypt(
@@ -638,8 +570,9 @@ class CryptoEngine:
         validate: bool = True,
     ) -> list[int]:
         """Batch of ``f_e^{-1}(y)``; the key inversion happens once."""
-        check = "euler" if self.legacy else ("jacobi" if validate else "none")
-        shared = (key.inverse().exponent, key.group, "commutative.decrypt", check)
+        shared = (
+            key.inverse().exponent, key.group, "commutative.decrypt", validate
+        )
         return self._run(_unit_commutative, shared, values)
 
     def batch_paillier_encrypt(
@@ -647,22 +580,13 @@ class CryptoEngine:
         public_key: paillier.PaillierPublicKey,
         plaintexts: Sequence[int],
         randomness: Sequence[int] | None = None,
-        nonce_cache: PaillierNonceCache | None = None,
     ) -> list[paillier.PaillierCiphertext]:
         """Batch Paillier encryption.
 
         ``randomness`` fixes the per-item nonces (deterministic output,
-        used by the equivalence tests); ``nonce_cache`` trades uniform
-        nonces for precomputed ``r^n`` powers.  With neither, workers
-        draw fresh uniform nonces.
+        used by the equivalence tests); without it, workers draw fresh
+        uniform nonces.
         """
-        if randomness is not None and nonce_cache is not None:
-            raise ParameterError("pass either randomness or nonce_cache, not both")
-        if nonce_cache is not None:
-            if nonce_cache.public_key != public_key:
-                raise ParameterError("nonce cache built for a different key")
-            jobs = [(m, nonce_cache.nonce_power()) for m in plaintexts]
-            return self._run(_unit_paillier_encrypt_nonce, public_key, jobs)
         if randomness is None:
             jobs = [(m, None) for m in plaintexts]
         else:
@@ -675,14 +599,9 @@ class CryptoEngine:
         self,
         private_key: paillier.PaillierPrivateKey,
         ciphertexts: Sequence[paillier.PaillierCiphertext],
-        flavour: str | None = None,
     ) -> list[int]:
         """Batch Paillier decryption (CRT when the key allows it)."""
-        if flavour is None:
-            flavour = "carmichael" if self.legacy else "auto"
-        if flavour not in ("auto", "crt", "carmichael"):
-            raise ParameterError(f"unknown decryption flavour {flavour!r}")
-        return self._run(_unit_paillier_decrypt, (private_key, flavour), ciphertexts)
+        return self._run(_unit_paillier_decrypt, private_key, ciphertexts)
 
     def batch_scheme_encrypt(
         self,
@@ -700,9 +619,7 @@ class CryptoEngine:
         ciphertexts: Sequence[Any],
     ) -> list[int]:
         """Batch decryption through a homomorphic scheme adapter."""
-        flavour = "carmichael" if self.legacy else "auto"
-        shared = (scheme, private_key, flavour)
-        return self._run(_unit_scheme_decrypt, shared, ciphertexts)
+        return self._run(_unit_scheme_decrypt, (scheme, private_key), ciphertexts)
 
     def batch_poly_eval(
         self,
@@ -733,7 +650,7 @@ class CryptoEngine:
         associated_data: bytes = b"",
     ) -> list[bytes]:
         """Batch hybrid decryption under one private key."""
-        shared = (private_key, associated_data, not self.legacy)
+        shared = (private_key, associated_data)
         return self._run(_unit_hybrid_decrypt, shared, ciphertexts)
 
     def map_batch(self, func: Callable, argument_tuples: Sequence[tuple]) -> list:

@@ -10,13 +10,16 @@ around a protocol run and read back exact operation counts.
 Counting is opt-in and costs one dictionary lookup per primitive call when
 no counter is installed.
 
-This module is now a thin compatibility shim over the unified telemetry
-layer: every recorded operation is *also* forwarded into the installed
-:class:`repro.telemetry.metrics.MetricsRegistry` (as the
-``repro_crypto_primitive_ops_total`` counter family), so Prometheus
-expositions and JSON snapshots carry exactly the totals the legacy
-counters observe.  The counter stack itself is unchanged — analyses and
-tests that consume :class:`PrimitiveCounter` keep working verbatim.
+:func:`record` feeds two sinks with different scopes:
+
+* the :class:`PrimitiveCounter` stack is *thread-scoped*: a counter sees
+  only the operations recorded on the thread that installed it, so one
+  run's counts stay its own while other sessions run on other threads
+  of the same process (the load generator does exactly that);
+* the installed :class:`repro.telemetry.metrics.MetricsRegistry` is
+  *process-wide*: its ``repro_crypto_primitive_ops_total`` family
+  accumulates every thread's operations for Prometheus expositions and
+  JSON snapshots.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class PrimitiveCounter:
 
     Operation names are dotted strings such as ``"hash.ideal"``,
     ``"commutative.encrypt"``, ``"paillier.encrypt"`` or ``"random.key"``.
-    :attr:`counts` maps each name to its invocation count;
-    :meth:`families` aggregates by the prefix before the first dot, which
-    is the granularity of the paper's Table 2.
+    :attr:`counts` maps each name to its invocation count; the prefix
+    before the first dot is the primitive family, the granularity of the
+    paper's Table 2 (:mod:`repro.analysis.primitives` categorizes them).
     """
 
     def __init__(self) -> None:
@@ -55,27 +58,13 @@ class PrimitiveCounter:
     def record(self, operation: str, amount: int = 1) -> None:
         self.counts[operation] += amount
 
-    def families(self) -> dict[str, int]:
-        """Aggregate counts by primitive family (prefix before '.')."""
-        totals: Counter[str] = Counter()
-        for operation, count in self.counts.items():
-            family = operation.split(".", 1)[0]
-            totals[family] += count
-        return dict(totals)
-
-    def total(self, prefix: str = "") -> int:
-        """Total invocations of operations starting with ``prefix``."""
-        return sum(
-            count for op, count in self.counts.items() if op.startswith(prefix)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrimitiveCounter({dict(self.counts)!r})"
 
 
 def record(operation: str, amount: int = 1) -> None:
-    """Report ``amount`` invocations of ``operation`` to active counters
-    and to the installed metrics registry (if any)."""
+    """Report ``amount`` invocations of ``operation`` to this thread's
+    counters and to the process-wide metrics registry (if any)."""
     for counter in _stack():
         counter.record(operation, amount)
     registry = _metrics.get_registry()

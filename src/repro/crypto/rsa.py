@@ -76,8 +76,8 @@ def private_pow(private_key: RSAPrivateKey, value: int, use_crt: bool = True) ->
     By default runs in CRT form — two half-size exponentiations mod
     ``p`` and ``q`` plus a Garner step, a 3-4x speedup over the direct
     route.  ``use_crt=False`` forces the direct exponentiation (the
-    pre-engine behaviour, kept for the legacy benchmark baseline and as
-    an equivalence reference in tests).
+    pre-engine behaviour, kept as the reference that tests and the
+    parallel-crypto benchmark's scalar baseline compare against).
     """
     if not use_crt:
         return powmod(value, private_key.d, private_key.n)

@@ -10,9 +10,10 @@ mechanisms with one coherent layer:
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   counters/gauges/histograms absorbing primitive invocation counts
   (the Table 2 data), per-link message bytes, and step latencies.
-  :class:`repro.crypto.instrumentation.PrimitiveCounter`,
-  :func:`repro.core.timing.timed`, and the transport transcript remain
-  as compatibility surfaces feeding the same registry.
+  The registry is process-wide; :class:`repro.crypto.instrumentation.
+  PrimitiveCounter` is the thread-scoped per-run count of the same
+  primitive operations, and :func:`repro.core.timing.timed` and the
+  transport transcript feed the registry alongside their own records.
 * :mod:`repro.telemetry.exporters` — Chrome trace-event JSON (open in
   Perfetto), Prometheus text exposition, and JSON snapshots.
 * :mod:`repro.telemetry.logsetup` — structured per-party logging.

@@ -4,11 +4,11 @@ One registry absorbs the repo's three historical measurement paths
 behind a single API:
 
 * **primitive invocation counts** — :func:`repro.crypto.instrumentation.
-  record` forwards every operation into
-  :data:`PRIMITIVE_OPS_METRIC` next to the legacy
-  :class:`~repro.crypto.instrumentation.PrimitiveCounter` stack, so the
-  Table 2 totals are available as Prometheus counters with identical
-  values,
+  record` feeds every operation both into :data:`PRIMITIVE_OPS_METRIC`
+  here, a process-wide family for Prometheus, and into the
+  thread-scoped :class:`~repro.crypto.instrumentation.PrimitiveCounter`
+  stack, which scopes the Table 2 counts to one run; both see the same
+  values when one run owns the process,
 * **per-link message traffic** — :class:`repro.transport.base.Transport`
   counts messages and bytes per ``(transport, sender, receiver, kind)``,
 * **step latencies** — :func:`repro.core.timing.timed` observes each
@@ -240,7 +240,7 @@ class MetricsRegistry:
         with self._lock:
             return family.child(_label_key(labels))
 
-    # -- the instrumentation shim -----------------------------------------
+    # -- primitive operations (process-wide) ------------------------------
 
     def record_primitive(self, operation: str, amount: int = 1) -> None:
         """Absorb one :func:`repro.crypto.instrumentation.record` call."""

@@ -2,8 +2,8 @@
 
 The engine's contract: every ``batch_*`` API returns exactly what
 mapping the scalar primitive over the inputs would — byte-identical
-values and identical primitive counts — in every execution mode
-(serial, pooled, legacy).  The pooled engine is forced onto tiny
+values and identical primitive counts — in both execution modes
+(serial, pooled).  The pooled engine is forced onto tiny
 inputs here (``workers=2, threshold=1``) so the process-pool path is
 exercised even though these batches would normally stay serial.
 """
@@ -17,9 +17,10 @@ import pytest
 from repro.crypto import commutative as comm
 from repro.crypto import groups, hybrid, instrumentation, paillier, rsa
 from repro.crypto.engine import (
+    FIXED_BASE_BUDGET_ENV,
     CryptoEngine,
     FixedBaseTable,
-    PaillierNonceCache,
+    fixed_base_budget_bytes,
     get_engine,
     set_engine,
     use_engine,
@@ -42,13 +43,8 @@ def pooled():
 
 
 @pytest.fixture(scope="module")
-def legacy():
-    return CryptoEngine(workers=0, legacy=True)
-
-
-@pytest.fixture(scope="module")
-def all_engines(serial, pooled, legacy):
-    return [serial, pooled, legacy]
+def all_engines(serial, pooled):
+    return [serial, pooled]
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +60,14 @@ def counted(callable_, *args, **kwargs):
 
 
 class TestDispatch:
-    def test_modes(self, serial, pooled, legacy):
+    def test_modes(self, serial, pooled):
         assert serial.mode == "serial"
         assert pooled.mode == "pooled"
-        assert legacy.mode == "legacy"
 
     def test_threshold_keeps_small_batches_serial(self):
         engine = CryptoEngine(workers=2, threshold=50)
         assert not engine._use_pool(49)
         assert engine._use_pool(50)
-        engine.close()
-
-    def test_legacy_never_pools(self):
-        engine = CryptoEngine(workers=4, threshold=1, legacy=True)
-        assert not engine._use_pool(1000)
         engine.close()
 
     def test_env_workers(self, monkeypatch):
@@ -203,41 +193,6 @@ class TestBatchPaillier:
             )
             assert got == expected, engine.mode
             assert batch_counts == scalar_counts, engine.mode
-
-    def test_decrypt_flavours_agree(self, serial, paillier_key):
-        pk = paillier_key.public_key
-        ciphertexts = [paillier.encrypt(pk, m) for m in (0, 1, pk.n - 1)]
-        crt = serial.batch_paillier_decrypt(paillier_key, ciphertexts, "crt")
-        textbook = serial.batch_paillier_decrypt(
-            paillier_key, ciphertexts, "carmichael"
-        )
-        assert crt == textbook == [0, 1, pk.n - 1]
-
-    def test_unknown_flavour_rejected(self, serial, paillier_key):
-        with pytest.raises(ParameterError):
-            serial.batch_paillier_decrypt(paillier_key, [], "quantum")
-
-    def test_nonce_cache_roundtrips(self, serial, pooled, paillier_key):
-        pk = paillier_key.public_key
-        cache = PaillierNonceCache(pk, pool_size=16, subset_size=4)
-        plaintexts = list(range(10))
-        for engine in (serial, pooled):
-            ciphertexts, counts = counted(
-                engine.batch_paillier_encrypt,
-                pk,
-                plaintexts,
-                nonce_cache=cache,
-            )
-            assert [
-                paillier.decrypt(paillier_key, c) for c in ciphertexts
-            ] == plaintexts
-            assert counts["random.paillier_nonce"] == len(plaintexts)
-
-    def test_nonce_cache_excludes_randomness(self, serial, paillier_key):
-        pk = paillier_key.public_key
-        cache = PaillierNonceCache(pk, pool_size=8, subset_size=2)
-        with pytest.raises(ParameterError):
-            serial.batch_paillier_encrypt(pk, [1], randomness=[2], nonce_cache=cache)
 
 
 class TestBatchScheme:
@@ -365,6 +320,37 @@ class TestFixedBaseTable:
     def test_size_accounting(self):
         table = FixedBaseTable(2, groups.safe_prime(64), 64, window=4)
         assert table.size_bytes() > 0
+
+
+class TestFixedBaseBudget:
+    @pytest.mark.parametrize(
+        "raw", ["nan", "inf", "-inf", "1e400", "-1", "lots"]
+    )
+    def test_invalid_budget_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(FIXED_BASE_BUDGET_ENV, raw)
+        with pytest.raises(ParameterError):
+            fixed_base_budget_bytes()
+
+    def test_budget_in_megabytes(self, monkeypatch):
+        monkeypatch.setenv(FIXED_BASE_BUDGET_ENV, "0.5")
+        assert fixed_base_budget_bytes() == 512 * 1024
+
+    def test_zero_budget_skips_table(self, monkeypatch, comm_group):
+        monkeypatch.setenv(FIXED_BASE_BUDGET_ENV, "0")
+        table, counts = counted(FixedBaseTable.build, 3, comm_group.p, 64)
+        assert table is None
+        assert counts == {"fixedbase.skip": 1}
+
+    def test_zero_budget_batch_still_matches_pow(self, monkeypatch, comm_group):
+        monkeypatch.setenv(FIXED_BASE_BUDGET_ENV, "0")
+        # Pinned to the python backend: it is the one that builds tables.
+        engine = CryptoEngine(workers=0, backend="python")
+        exponents = [secrets.randbelow(1 << 64) for _ in range(12)]
+        got, counts = counted(
+            engine.batch_pow_shared_base, 3, exponents, comm_group.p
+        )
+        assert got == [pow(3, e, comm_group.p) for e in exponents]
+        assert counts == {"fixedbase.skip": 1}
 
 
 class TestPooledCounterAggregation:

@@ -1,5 +1,7 @@
 """Tests for the primitive-usage instrumentation."""
 
+import threading
+
 from repro.crypto import paillier, symmetric
 from repro.crypto.instrumentation import count_primitives, record
 
@@ -28,20 +30,14 @@ class TestCounter:
         assert outer.counts == {"a.x": 2, "b.y": 1}
         assert inner.counts == {"b.y": 1}
 
-    def test_families_aggregation(self):
+    def test_counter_is_thread_scoped(self):
         with count_primitives() as counter:
-            record("paillier.encrypt", 4)
-            record("paillier.add", 2)
             record("hash.ideal")
-        assert counter.families() == {"paillier": 6, "hash": 1}
-
-    def test_total_with_prefix(self):
-        with count_primitives() as counter:
-            record("paillier.encrypt", 4)
-            record("paillier.add", 2)
-            record("hash.ideal")
-        assert counter.total("paillier.") == 6
-        assert counter.total() == 7
+            other = threading.Thread(target=record, args=("paillier.encrypt",))
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+        assert counter.counts == {"hash.ideal": 1}
 
 
 class TestPrimitivesReport:

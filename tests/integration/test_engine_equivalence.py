@@ -1,13 +1,13 @@
-"""Engine-mode equivalence: serial, pooled, and legacy runs must agree.
+"""Engine-mode equivalence: serial and pooled runs must agree.
 
 Acceptance invariant for the batched crypto engine: for every protocol,
 a run under the pooled engine (process pool forced on via ``workers=2,
 threshold=1``) must produce the *same global result* and the *same
 primitive-counter totals* as a run under the serial engine — the pool
-must be invisible except for wall-clock time.  The legacy engine
-(Euler-criterion membership, Carmichael decryption, no CRT) is included
-as a third leg: the algorithmic fast paths must not change results or
-operation counts either.
+must be invisible except for wall-clock time.  That the algorithmic
+fast paths (Jacobi membership, CRT decryption) change neither results
+nor operation counts against the pre-engine scalar path is checked end
+to end by ``benchmarks/bench_parallel_crypto.py`` (its ``legacy`` leg).
 """
 
 import pytest
@@ -29,8 +29,7 @@ PROTOCOL_MATRIX = [
 def engines():
     serial = CryptoEngine(workers=0)
     pooled = CryptoEngine(workers=2, threshold=1)
-    legacy = CryptoEngine(workers=0, legacy=True)
-    yield {"serial": serial, "pooled": pooled, "legacy": legacy}
+    yield {"serial": serial, "pooled": pooled}
     pooled.close()
 
 
@@ -62,9 +61,6 @@ def test_pooled_engine_is_invisible(
     # workers count in their own process and the engine replays the
     # totals into the driver's counter.
     assert dict(results["pooled"].primitive_counter.counts) == serial_counts
-    # The algorithmic fast paths (Jacobi membership, CRT decryption)
-    # change *how* primitives run, never how many.
-    assert dict(results["legacy"].primitive_counter.counts) == serial_counts
 
 
 def test_pooled_engine_reuse_across_protocols(engines, make_federation, workload):
