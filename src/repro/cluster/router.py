@@ -48,6 +48,7 @@ from repro.telemetry.exporters import prometheus_exposition
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import SpanContext, Tracer
 from repro.transport import codec
+from repro.transport.server import requested_session
 
 #: Counter of frames the router forwarded, labelled by shard.
 ROUTER_FRAMES_METRIC = "repro_router_frames_total"
@@ -550,7 +551,7 @@ class ShardRouter:
     ) -> bool:
         """FETCH/VIEW and TELEMETRY: session-scoped to the session's
         shard, global aggregated across every shard."""
-        session_id = self._requested_session(payload)
+        session_id = requested_session(payload)
         if session_id is not None:
             label = self._affinity.get(session_id) or self.ring.owner(
                 session_id
@@ -629,20 +630,6 @@ class ShardRouter:
             "exposition": prometheus_exposition(merged),
         }
         return codec.TELEMETRY_DATA, codec.encode_value(snapshot)
-
-    @staticmethod
-    def _requested_session(payload: bytes) -> str | None:
-        """The ``session`` filter of a FETCH/TELEMETRY payload, if any."""
-        try:
-            request = codec.decode_value(payload)
-        except Exception:
-            return None
-        if isinstance(request, dict):
-            session_id = request.get("session")
-            if isinstance(session_id, str) and session_id:
-                return session_id
-        return None
-
 
 def fetch_router_stats(host: str, port: int, timeout: float = 10.0) -> dict:
     """One-shot STATS request against a running shard router.

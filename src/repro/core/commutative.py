@@ -51,7 +51,8 @@ from repro.crypto import groups, hybrid, symmetric
 from repro.crypto.engine import CryptoEngine, get_engine
 from repro.crypto.hashes import IdealHash
 from repro.crypto.instrumentation import count_primitives
-from repro.errors import ProtocolError, StorageError
+from repro.crypto.numtheory import int_to_bytes
+from repro.errors import ProtocolError
 from repro.mediation.credentials import public_keys_of
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation
@@ -61,15 +62,15 @@ from repro.storage.base import (
     KIND_COMM_TAG,
     KIND_COMM_TUPLES,
     IndexCache,
+    cache_through,
+    typed,
 )
-from repro.storage.serialize import (
-    deserialize_hybrid,
-    deserialize_int,
-    serialize_hybrid,
-    serialize_int,
-)
+from repro.transport.codec import decode_value, encode_value
 
 _ID_BYTES = 8
+
+_decode_int = typed(decode_value, int)
+_decode_hybrid = typed(decode_value, hybrid.HybridCiphertext)
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,8 @@ def _key_digest(key: comm.CommutativeKey) -> bytes:
     another — a replaced key simply misses instead of mismatching.
     """
     return hashlib.sha256(
-        serialize_int(key.group.p) + b"/" + serialize_int(key.exponent)
+        int_to_bytes(key.group.p) + b"/" + int_to_bytes(key.exponent)
     ).digest()[:12]
-
-
-def _recipient_digest(client_keys) -> bytes:
-    fingerprints = sorted(hybrid.key_fingerprint(key) for key in client_keys)
-    return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
 
 
 def _cached_key(
@@ -134,19 +130,14 @@ def _cached_key(
     exponent stays valid across processes; the key lives under the
     current epoch and :meth:`DataSource.rotate_keys` retires it.
     """
-    if cache is None:
-        return comm.generate_key(group)
-    slot = b"key:" + serialize_int(group.p)[:16]
-    blob = cache.get(relation_name, KIND_COMM_KEY, slot)
-    if blob is not None:
-        try:
-            return comm.CommutativeKey(group, deserialize_int(blob))
-        except Exception:
-            # Corrupt or out-of-range: fall through to a fresh key.
-            cache.decode_failure(KIND_COMM_KEY)
-    key = comm.generate_key(group)
-    cache.put(relation_name, KIND_COMM_KEY, slot, serialize_int(key.exponent))
-    return key
+    return cache_through(
+        cache, relation_name, KIND_COMM_KEY, 1,
+        slots=lambda: [b"key:" + int_to_bytes(group.p)[:16]],
+        compute=lambda missing: [comm.generate_key(group)],
+        encode=lambda key: encode_value(key.exponent),
+        # An out-of-range exponent fails the key's own check: a miss.
+        decode=lambda blob: comm.CommutativeKey(group, _decode_int(blob)),
+    )[0]
 
 
 def _prepare_source(
@@ -172,45 +163,26 @@ def _prepare_source(
     if config.verify_group and not group.verify():
         raise ProtocolError("announced commutative group failed verification")
     key = _cached_key(cache, relation.name, group)
-    key_digest = _key_digest(key) if cache is not None else b""
-    recipients = _recipient_digest(client_keys) if cache is not None else b""
     grouped = group_by_key(relation, join_attributes)
     join_keys = list(grouped)
 
-    # Tags: serve cache hits, batch-compute the misses under the key.
-    tags: list[int | None] = [None] * len(join_keys)
-    pending_tags: list[int] = []
-    if cache is not None:
-        for position, join_key in enumerate(join_keys):
-            blob = cache.get(
-                relation.name,
-                KIND_COMM_TAG,
-                b"tag:" + key_digest + encode_key(join_key),
-            )
-            if blob is not None:
-                try:
-                    tags[position] = deserialize_int(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_TAG)
-            pending_tags.append(position)
-    else:
-        pending_tags = list(range(len(join_keys)))
-    if pending_tags:
-        hashed = [
-            ideal_hash(encode_key(join_keys[position]))
-            for position in pending_tags
-        ]
-        fresh_tags = engine.batch_commutative_encrypt(key, hashed)
-        for position, tag in zip(pending_tags, fresh_tags):
-            tags[position] = tag
-            if cache is not None:
-                cache.put(
-                    relation.name,
-                    KIND_COMM_TAG,
-                    b"tag:" + key_digest + encode_key(join_keys[position]),
-                    serialize_int(tag),
-                )
+    def tag_slots() -> list[bytes]:
+        prefix = b"tag:" + _key_digest(key)
+        return [prefix + encode_key(join_key) for join_key in join_keys]
+
+    tags = cache_through(
+        cache, relation.name, KIND_COMM_TAG, len(join_keys),
+        slots=tag_slots,
+        compute=lambda missing: engine.batch_commutative_encrypt(
+            key,
+            [
+                ideal_hash(encode_key(join_keys[position]))
+                for position in missing
+            ],
+        ),
+        encode=encode_value,
+        decode=_decode_int,
+    )
 
     # Tuple-set ciphertexts: keyed by recipient set + plaintext content.
     # Hardened runs wrap every tuple-set encoding to one uniform length
@@ -219,38 +191,23 @@ def _prepare_source(
     encoded_sets = [encode_rows(grouped[join_key]) for join_key in join_keys]
     if hardening is not None:
         encoded_sets, _ = hardening.wrap_uniform(encoded_sets)
-    ciphertexts: list[hybrid.HybridCiphertext | None] = [None] * len(join_keys)
-    pending_sets: list[int] = []
-    if cache is not None:
-        set_slots = [
-            b"tupct:" + recipients + encode_key(join_key)
+    def set_slots() -> list[bytes]:
+        prefix = b"tupct:" + hybrid.recipient_digest(client_keys)
+        return [
+            prefix + encode_key(join_key)
             + hashlib.sha256(encoded).digest()[:16]
             for join_key, encoded in zip(join_keys, encoded_sets)
         ]
-        for position, slot in enumerate(set_slots):
-            blob = cache.get(relation.name, KIND_COMM_TUPLES, slot)
-            if blob is not None:
-                try:
-                    ciphertexts[position] = deserialize_hybrid(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_TUPLES)
-            pending_sets.append(position)
-    else:
-        pending_sets = list(range(len(join_keys)))
-    if pending_sets:
-        fresh = engine.batch_hybrid_encrypt(
-            client_keys, [encoded_sets[position] for position in pending_sets]
-        )
-        for position, ciphertext in zip(pending_sets, fresh):
-            ciphertexts[position] = ciphertext
-            if cache is not None:
-                cache.put(
-                    relation.name,
-                    KIND_COMM_TUPLES,
-                    set_slots[position],
-                    serialize_hybrid(ciphertext),
-                )
+
+    ciphertexts = cache_through(
+        cache, relation.name, KIND_COMM_TUPLES, len(join_keys),
+        slots=set_slots,
+        compute=lambda missing: engine.batch_hybrid_encrypt(
+            client_keys, [encoded_sets[position] for position in missing]
+        ),
+        encode=encode_value,
+        decode=_decode_hybrid,
+    )
 
     tuple_ciphertexts = dict(zip(join_keys, ciphertexts))
     messages = [
@@ -274,38 +231,20 @@ def _double_encrypt(
     series and this step becomes pure lookups.
     """
     engine = engine or get_engine()
-    key_digest = _key_digest(key) if cache is not None else b""
-    doubled: list[int | None] = [None] * len(messages)
-    pending: list[int] = []
-    if cache is not None:
-        for position, message in enumerate(messages):
-            blob = cache.get(
-                relation_name,
-                KIND_COMM_DOUBLE,
-                b"double:" + key_digest + serialize_int(message.tag),
-            )
-            if blob is not None:
-                try:
-                    doubled[position] = deserialize_int(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_COMM_DOUBLE)
-            pending.append(position)
-    else:
-        pending = list(range(len(messages)))
-    if pending:
-        fresh = engine.batch_commutative_encrypt(
-            key, [messages[position].tag for position in pending]
-        )
-        for position, tag in zip(pending, fresh):
-            doubled[position] = tag
-            if cache is not None:
-                cache.put(
-                    relation_name,
-                    KIND_COMM_DOUBLE,
-                    b"double:" + key_digest + serialize_int(messages[position].tag),
-                    serialize_int(tag),
-                )
+
+    def double_slots() -> list[bytes]:
+        prefix = b"double:" + _key_digest(key)
+        return [prefix + int_to_bytes(message.tag) for message in messages]
+
+    doubled = cache_through(
+        cache, relation_name, KIND_COMM_DOUBLE, len(messages),
+        slots=double_slots,
+        compute=lambda missing: engine.batch_commutative_encrypt(
+            key, [messages[position].tag for position in missing]
+        ),
+        encode=encode_value,
+        decode=_decode_int,
+    )
     return _shuffled(
         [
             TaggedMessage(tag=tag, payload=message.payload)

@@ -34,7 +34,6 @@ three are implemented:
 
 from __future__ import annotations
 
-import hashlib
 import random
 import secrets
 from dataclasses import dataclass, field
@@ -65,13 +64,14 @@ from repro.storage.base import (
     KIND_DAS_TUPLE,
     IndexCache,
     StorageBackend,
+    cache_through,
     relation_fingerprint,
+    typed,
 )
-from repro.storage.serialize import (
-    deserialize_hybrid,
-    serialize_hybrid,
-    serialize_int,
-)
+from repro.transport.codec import decode_value, encode_value
+
+_decode_index_table = typed(decode_value, IndexTable)
+_decode_hybrid = typed(decode_value, hybrid.HybridCiphertext)
 
 #: Query-translator placements (Section 3.1 "settings").
 CLIENT_SETTING = "client"
@@ -188,13 +188,6 @@ def _mixed_split(schema: Schema, config: DASConfig) -> tuple[list[int], list[int
     return sensitive_positions, plain_positions
 
 
-def _recipient_digest(client_keys) -> bytes:
-    """Digest of the recipient key set — part of every etuple cache key,
-    so ciphertexts are never served to a different credential set."""
-    fingerprints = sorted(hybrid.key_fingerprint(key) for key in client_keys)
-    return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
-
-
 def _encrypt_source(
     source_name: str,
     relation: Relation,
@@ -221,38 +214,30 @@ def _encrypt_source(
         raise ProtocolError(
             "the join attribute must remain sensitive in the mixed DAS model"
         )
-    content = relation_fingerprint(relation) if cache is not None else b""
-    recipients = _recipient_digest(client_keys) if cache is not None else b""
     table_tag = (
         f"{config.strategy}:{config.buckets}:{attribute}".encode()
     )
 
-    index_table: IndexTable | None = None
-    if cache is not None:
-        blob = cache.get(
-            relation.name, KIND_DAS_INDEX, b"itable:" + content + table_tag
-        )
-        if blob is not None:
-            try:
-                index_table = IndexTable.from_bytes(blob)
-            except Exception:
-                cache.decode_failure(KIND_DAS_INDEX)
-                index_table = None
-    if index_table is None:
+    def build_index_table(missing: list[int]) -> list[IndexTable]:
         active_domain = relation.active_domain(attribute)
         partitions = _partition_domain(config, active_domain, attribute)
-        index_table = partitioning.build_index_table(
-            f"{relation.name}.{attribute}",
-            partitions,
-            salt=secrets.token_bytes(16),
-        )
-        if cache is not None:
-            cache.put(
-                relation.name,
-                KIND_DAS_INDEX,
-                b"itable:" + content + table_tag,
-                index_table.to_bytes(),
+        return [
+            partitioning.build_index_table(
+                f"{relation.name}.{attribute}",
+                partitions,
+                salt=secrets.token_bytes(16),
             )
+        ]
+
+    index_table = cache_through(
+        cache, relation.name, KIND_DAS_INDEX, 1,
+        slots=lambda: [
+            b"itable:" + relation_fingerprint(relation) + table_tag
+        ],
+        compute=build_index_table,
+        encode=encode_value,
+        decode=_decode_index_table,
+    )[0]
 
     sensitive_positions, plain_positions = _mixed_split(relation.schema, config)
     position_tag = ",".join(map(str, sensitive_positions)).encode()
@@ -267,39 +252,22 @@ def _encrypt_source(
     if hardening is not None:
         encoded_rows, row_target = hardening.wrap_uniform(encoded_rows)
 
-    etuples: list[hybrid.HybridCiphertext | None] = [None] * len(rows)
-    pending: list[int] = []
-    if cache is not None:
-        for position, encoded in enumerate(encoded_rows):
-            blob = cache.get(
-                relation.name,
-                KIND_DAS_TUPLE,
-                b"etuple:" + recipients + position_tag + b":" + encoded,
-            )
-            if blob is not None:
-                try:
-                    etuples[position] = deserialize_hybrid(blob)
-                    continue
-                except StorageError:
-                    cache.decode_failure(KIND_DAS_TUPLE)
-            pending.append(position)
-    else:
-        pending = list(range(len(rows)))
-
-    if pending:
-        fresh = engine.batch_hybrid_encrypt(
-            client_keys, [encoded_rows[position] for position in pending]
+    def etuple_slots() -> list[bytes]:
+        prefix = (
+            b"etuple:" + hybrid.recipient_digest(client_keys) + position_tag
+            + b":"
         )
-        for position, etuple in zip(pending, fresh):
-            etuples[position] = etuple
-            if cache is not None:
-                cache.put(
-                    relation.name,
-                    KIND_DAS_TUPLE,
-                    b"etuple:" + recipients + position_tag + b":"
-                    + encoded_rows[position],
-                    serialize_hybrid(etuple),
-                )
+        return [prefix + encoded for encoded in encoded_rows]
+
+    etuples = cache_through(
+        cache, relation.name, KIND_DAS_TUPLE, len(rows),
+        slots=etuple_slots,
+        compute=lambda missing: engine.batch_hybrid_encrypt(
+            client_keys, [encoded_rows[position] for position in missing]
+        ),
+        encode=encode_value,
+        decode=_decode_hybrid,
+    )
 
     encrypted_rows = [
         EncryptedTuple(
@@ -386,10 +354,10 @@ def _evaluate_server_query(
     if backend is not None:
         try:
             positions = backend.bucket_join(
-                [serialize_int(row.index_value) for row in relation_1.rows],
-                [serialize_int(row.index_value) for row in relation_2.rows],
+                [encode_value(row.index_value) for row in relation_1.rows],
+                [encode_value(row.index_value) for row in relation_2.rows],
                 [
-                    (serialize_int(index_1), serialize_int(index_2))
+                    (encode_value(index_1), encode_value(index_2))
                     for index_1, index_2 in query.pairs
                 ],
             )

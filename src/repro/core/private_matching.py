@@ -63,8 +63,8 @@ from repro.crypto.polynomial import (
 from repro.errors import EncodingError, ProtocolError, StorageError
 from repro.relational.encoding import decode_rows, encode_rows
 from repro.relational.relation import Relation, Row
-from repro.storage.base import KIND_PM_COEFFS, IndexCache
-from repro.storage.serialize import deserialize_int_list, serialize_int_list
+from repro.storage.base import KIND_PM_COEFFS, IndexCache, cache_through
+from repro.transport.codec import decode_value, encode_value
 
 INLINE_MODE = "inline"
 SESSION_KEY_MODE = "session_key"
@@ -85,48 +85,48 @@ def _cached_encrypt_polynomial(
     by (public-key fingerprint, coefficient digest).  Schemes with
     non-integer ciphertexts (EC-ElGamal points) skip the cache.
     """
-    cacheable = cache is not None and isinstance(scheme, PaillierScheme)
-    slot = b""
-    if cacheable:
+    if not isinstance(scheme, PaillierScheme):
+        cache = None
+
+    def slots() -> list[bytes]:
         digest = hashlib.sha256()
         for coefficient in plain_coefficients:
             digest.update(coefficient.to_bytes(
                 (coefficient.bit_length() + 7) // 8 or 1, "big"))
             digest.update(b"/")
-        slot = (
-            b"pmcoef:"
-            + hybrid_fingerprint(public_key)
-            + digest.digest()[:16]
-        )
-        blob = cache.get(relation_name, KIND_PM_COEFFS, slot)
-        if blob is not None:
-            try:
-                values = deserialize_int_list(blob)
-                if len(values) != len(plain_coefficients):
-                    raise StorageError("cached coefficient count mismatch")
-                return EncryptedPolynomial(
-                    scheme=scheme,
-                    public_key=public_key,
-                    coefficients=tuple(
-                        PaillierCiphertext(value, public_key)
-                        for value in values
-                    ),
-                )
-            except Exception:
-                cache.decode_failure(KIND_PM_COEFFS)
-    encrypted = encrypt_polynomial(
-        scheme, public_key, plain_coefficients, engine=engine
-    )
-    if cacheable:
-        cache.put(
-            relation_name,
-            KIND_PM_COEFFS,
-            slot,
-            serialize_int_list(
-                [ciphertext.value for ciphertext in encrypted.coefficients]
+        return [
+            b"pmcoef:" + hybrid_fingerprint(public_key) + digest.digest()[:16]
+        ]
+
+    def decode(blob: bytes) -> EncryptedPolynomial:
+        values = decode_value(blob)
+        if (
+            type(values) is not list
+            or len(values) != len(plain_coefficients)
+            or any(type(value) is not int for value in values)
+        ):
+            raise StorageError("cached coefficients do not fit the polynomial")
+        return EncryptedPolynomial(
+            scheme=scheme,
+            public_key=public_key,
+            coefficients=tuple(
+                PaillierCiphertext(value, public_key) for value in values
             ),
         )
-    return encrypted
+
+    return cache_through(
+        cache, relation_name, KIND_PM_COEFFS, 1,
+        slots=slots,
+        compute=lambda missing: [
+            encrypt_polynomial(
+                scheme, public_key, plain_coefficients, engine=engine
+            )
+        ],
+        encode=lambda encrypted: encode_value(
+            [ciphertext.value for ciphertext in encrypted.coefficients]
+        ),
+        decode=decode,
+    )[0]
 
 
 def hybrid_fingerprint(public_key: Any) -> bytes:

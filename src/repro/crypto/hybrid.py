@@ -14,6 +14,7 @@ fingerprint, so the client can unwrap with whichever private key matches.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -27,6 +28,16 @@ def key_fingerprint(public_key: rsa.RSAPublicKey) -> bytes:
     """Stable 16-byte identifier of an RSA public key."""
     material = int_to_bytes(public_key.n) + b"/" + int_to_bytes(public_key.e)
     return fingerprint(material)
+
+
+def recipient_digest(public_keys: Iterable[rsa.RSAPublicKey]) -> bytes:
+    """Order-free 16-byte digest of a recipient key set.
+
+    Index-cache slots of hybrid ciphertexts embed it, so a ciphertext is
+    never served to a different credential set.
+    """
+    fingerprints = sorted(key_fingerprint(key) for key in public_keys)
+    return hashlib.sha256(b"".join(fingerprints)).digest()[:16]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ observes backend operations instead of messages — sender and receiver
 are both the namespace, and ``kind`` is ``storage:<operation>`` (e.g.
 ``storage:cache_get``).  Supported actions: ``delay`` (slow I/O),
 ``drop`` (operation raises StorageError), ``corrupt`` (cache reads
-return flipped bytes, which the deserializers reject).  Index-cache
+return flipped bytes, which the integrity seal rejects).  Index-cache
 failures degrade to recomputation; row loads are hard failures.
 """
 

@@ -8,8 +8,8 @@ namespace the operation targets).  Fired rules enact:
 
 * ``delay`` — sleep ``delay_seconds`` before the operation (slow I/O),
 * ``drop``  — raise :class:`~repro.errors.StorageError` (store down),
-* ``corrupt`` — cache reads return bit-flipped bytes (the length-
-  prefixed deserializers then reject them); for any other operation it
+* ``corrupt`` — cache reads return bit-flipped bytes (the cache's
+  integrity seal then rejects them); for any other operation it
   behaves like ``drop``.
 
 Because the protocols reach caches only through
@@ -35,8 +35,8 @@ def _corrupt(value: bytes | None) -> bytes | None:
         return None
     if not value:
         return b"\xff"
-    # Flip every bit of the first byte; the magic/length framing of the
-    # serialized artifacts makes this detectable with certainty.
+    # Flip every bit of the first byte; the integrity seal every cached
+    # value carries (storage.base._seal) detects the flip.
     return bytes([value[0] ^ 0xFF]) + value[1:]
 
 

@@ -238,10 +238,7 @@ class DataSource:
                         self.name, query.relation_name, query.condition
                     )
                 except StorageError:
-                    cache = self.index_cache()
-                    if cache is not None:
-                        cache.stats.errors += 1
-                    selected = None
+                    self.index_cache().count_error("select")
             try:
                 if selected is not None:
                     return policy.evaluate(selected, valid)

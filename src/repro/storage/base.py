@@ -24,7 +24,13 @@ Cache semantics:
 * cache *reads and writes are soft*: :class:`IndexCache` converts
   :class:`~repro.errors.StorageError` into a miss (counted as an
   ``error``), so protocols degrade to recomputing the index instead of
-  failing the query when the cache store is unavailable.
+  failing the query when the cache store is unavailable;
+* every protocol reaches the cache through one path,
+  :func:`cache_through`: serve the hits, compute the misses as one
+  batch, write them back.  The caller supplies the value encoding (the
+  protocols pass the transport codec's ``encode_value``/``decode_value``,
+  which this layer may not import), and a hit counts only once the
+  stored value decodes.
 
 Backends implement the small abstract surface below.  The SQLite schema
 is deliberately vanilla (typed row tables plus one key/value cache
@@ -36,13 +42,12 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.relational.conditions import Condition
 from repro.relational.encoding import encode_relation
 from repro.relational.relation import Relation, Row
-from repro.telemetry import tracing
 from repro.telemetry.metrics import get_registry
 
 #: Cache entry kinds — one namespace of keys per cached artifact family.
@@ -57,6 +62,8 @@ KIND_PM_COEFFS = "pm_coeffs"
 CACHE_HITS_METRIC = "repro_storage_cache_hits_total"
 CACHE_MISSES_METRIC = "repro_storage_cache_misses_total"
 CACHE_ERRORS_METRIC = "repro_storage_cache_errors_total"
+
+T = TypeVar("T")
 
 
 def relation_fingerprint(relation: Relation) -> bytes:
@@ -253,12 +260,16 @@ class IndexCache:
                 help_text="Encrypted-index cache accesses by outcome",
             ).inc()
 
-    def get(self, relation: str, kind: str, key: bytes) -> bytes | None:
+    def count_error(self, kind: str) -> None:
+        """One failed store access: in the stats and the metric alike."""
+        self.stats.errors += 1
+        self._count(CACHE_ERRORS_METRIC, kind)
+
+    def _get(self, relation: str, kind: str, key: bytes) -> bytes | None:
         try:
             sealed = self.backend.cache_get(self.namespace, relation, kind, key)
         except StorageError:
-            self.stats.errors += 1
-            self._count(CACHE_ERRORS_METRIC, kind)
+            self.count_error(kind)
             return None
         if sealed is None:
             self.stats.misses += 1
@@ -266,47 +277,88 @@ class IndexCache:
             return None
         value = _unseal(sealed)
         if value is None:  # corrupted at rest: recompute, don't trust it
-            self.stats.errors += 1
-            self._count(CACHE_ERRORS_METRIC, kind)
-            return None
-        self.stats.hits += 1
-        self._count(CACHE_HITS_METRIC, kind)
+            self.count_error(kind)
         return value
 
-    def put(self, relation: str, kind: str, key: bytes, value: bytes) -> None:
+    def _put(self, relation: str, kind: str, key: bytes, value: bytes) -> None:
         try:
             self.backend.cache_put(
                 self.namespace, relation, kind, key, _seal(value)
             )
         except StorageError:
-            self.stats.errors += 1
-            self._count(CACHE_ERRORS_METRIC, kind)
+            self.count_error(kind)
             return
         self.stats.puts += 1
 
-    def epoch(self) -> int:
-        try:
-            return self.backend.key_epoch(self.namespace)
-        except StorageError:
-            self.stats.errors += 1
-            return -1
+    def through(
+        self,
+        relation: str,
+        kind: str,
+        slots: Sequence[bytes],
+        compute: Callable[[list[int]], Sequence[T]],
+        encode: Callable[[T], bytes],
+        decode: Callable[[bytes], T],
+    ) -> list[T]:
+        """The artifact of every slot: cache hits, then the misses.
 
-    def decode_failure(self, kind: str) -> None:
-        """Reclassify the last hit as an error: the blob came back but
-        failed deserialization (corruption, format drift).  Callers
-        recompute the artifact, so the net accounting is one error and
-        no hit — corrupted stores never inflate hit rates."""
-        if self.stats.hits > 0:
-            self.stats.hits -= 1
-        self.stats.errors += 1
-        self._count(CACHE_ERRORS_METRIC, kind)
+        A stored value is a hit only once ``decode`` accepts it; a value
+        it rejects (any :class:`~repro.errors.ReproError`) counts as an
+        error and is recomputed.  ``compute`` receives every missing
+        position in one call, so the protocol still issues one engine
+        batch, and each fresh value is written back through ``encode``.
+        """
+        values: list = [None] * len(slots)
+        missing: list[int] = []
+        for position, slot in enumerate(slots):
+            blob = self._get(relation, kind, slot)
+            if blob is not None:
+                try:
+                    values[position] = decode(blob)
+                except ReproError:
+                    self.count_error(kind)
+                else:
+                    self.stats.hits += 1
+                    self._count(CACHE_HITS_METRIC, kind)
+                    continue
+            missing.append(position)
+        if missing:
+            for position, value in zip(missing, compute(missing)):
+                values[position] = value
+                self._put(relation, kind, slots[position], encode(value))
+        return values
 
-    def span(self, operation: str, **attributes: object):
-        """A ``storage:<operation>`` tracing span for cache-heavy steps."""
-        return tracing.span(
-            f"storage:{operation}",
-            self.namespace,
-            kind="storage",
-            backend=self.backend.kind,
-            **attributes,
-        )
+
+def cache_through(
+    cache: IndexCache | None,
+    relation: str,
+    kind: str,
+    count: int,
+    slots: Callable[[], Sequence[bytes]],
+    compute: Callable[[list[int]], Sequence[T]],
+    encode: Callable[[T], bytes],
+    decode: Callable[[bytes], T],
+) -> list[T]:
+    """:meth:`IndexCache.through` for ``count`` artifacts, or — with no
+    cache — ``compute`` over every position.  ``slots`` is only called
+    when a cache is attached, so storage-free runs never pay for the
+    digests that cache keys embed."""
+    if cache is None:
+        return list(compute(list(range(count)))) if count else []
+    return cache.through(relation, kind, slots(), compute, encode, decode)
+
+
+def typed(
+    decode: Callable[[bytes], object], cls: type[T]
+) -> Callable[[bytes], T]:
+    """``decode`` narrowed to exactly ``cls``: a stored value of another
+    type (format drift, a foreign writer) is a :class:`StorageError`."""
+
+    def checked(blob: bytes) -> T:
+        value = decode(blob)
+        if type(value) is not cls:
+            raise StorageError(
+                f"cached {type(value).__name__} where {cls.__name__} belongs"
+            )
+        return value
+
+    return checked

@@ -101,6 +101,19 @@ class RemoteRecord:
     wire_bytes: int
 
 
+def requested_session(payload: bytes) -> str | None:
+    """The ``session`` filter of a FETCH/TELEMETRY payload, if any."""
+    try:
+        request = codec.decode_value(payload)
+    except Exception:
+        return None
+    if isinstance(request, dict):
+        session_id = request.get("session")
+        if isinstance(session_id, str) and session_id:
+            return session_id
+    return None
+
+
 class PartyServer:
     """One party's listening endpoint.
 
@@ -256,7 +269,7 @@ class PartyServer:
             )
             return False
         if frame_type == codec.FETCH:
-            session_id = self._requested_session(payload)
+            session_id = requested_session(payload)
             if session_id is None:
                 view = [asdict(record) for record in self.records]
             else:
@@ -266,7 +279,7 @@ class PartyServer:
             await codec.write_frame(writer, codec.VIEW, codec.encode_value(view))
             return False
         if frame_type == codec.TELEMETRY:
-            session_id = self._requested_session(payload)
+            session_id = requested_session(payload)
             await codec.write_frame(
                 writer,
                 codec.TELEMETRY_DATA,
@@ -462,19 +475,6 @@ class PartyServer:
         if session is None:
             return []
         return list(session.state.get("records", []))
-
-    @staticmethod
-    def _requested_session(payload: bytes) -> str | None:
-        """The ``session`` filter of a FETCH/TELEMETRY payload, if any."""
-        try:
-            request = codec.decode_value(payload)
-        except Exception:
-            return None
-        if isinstance(request, dict):
-            session_id = request.get("session")
-            if isinstance(session_id, str) and session_id:
-                return session_id
-        return None
 
     # -- telemetry ---------------------------------------------------------
 

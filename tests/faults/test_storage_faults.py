@@ -15,7 +15,8 @@ from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultPlan, FaultRule, FaultyStorage
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
-from repro.storage import MemoryBackend
+from repro.storage import CACHE_ERRORS_METRIC, MemoryBackend
+from repro.telemetry.metrics import MetricsRegistry, use_metrics
 
 QUERY = "select * from R1 natural join R2"
 
@@ -85,6 +86,19 @@ class TestGracefulDegradation:
         warm = assert_correct(federation, protocol)
         assert warm.artifacts["storage_cache"]["hits"] == 0
         assert warm.artifacts["storage_cache"]["errors"] > 0
+
+
+class TestSelectPushdown:
+    def test_failed_select_degrades_and_is_counted_like_any_error(
+        self, ca, client, workload
+    ):
+        storage = faulty(FaultRule(action="drop", kind="storage:select"))
+        federation = build(ca, client, workload, storage)
+        with use_metrics(MetricsRegistry()) as registry:
+            result = assert_correct(federation)
+        errors = result.artifacts["storage_cache"]["errors"]
+        assert errors > 0
+        assert errors == registry.total(CACHE_ERRORS_METRIC)
 
 
 class TestDelay:

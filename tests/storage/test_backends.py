@@ -17,14 +17,6 @@ from repro.storage import (
     SQLiteBackend,
     storage_from_spec,
 )
-from repro.storage.serialize import (
-    deserialize_hybrid,
-    deserialize_int,
-    deserialize_int_list,
-    serialize_hybrid,
-    serialize_int,
-    serialize_int_list,
-)
 
 SCHEMA = Schema(
     "R",
@@ -45,16 +37,6 @@ ROWS = [
 def make_relation(rows=None, name="R"):
     schema = SCHEMA if name == "R" else Schema(name, SCHEMA.attributes)
     return Relation(schema, rows if rows is not None else ROWS)
-
-
-@pytest.fixture(params=["memory", "sqlite"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        instance = MemoryBackend()
-    else:
-        instance = SQLiteBackend(str(tmp_path / "store.db"))
-    yield instance
-    instance.close()
 
 
 class TestRows:
@@ -241,45 +223,3 @@ class TestSpecParsing:
         with pytest.raises(StorageError):
             storage_from_spec(spec)
 
-
-class TestSerializers:
-    def test_int_round_trip(self):
-        for value in (0, 1, 255, 256, 2**521 - 1):
-            assert deserialize_int(serialize_int(value)) == value
-
-    def test_int_list_round_trip(self):
-        values = [0, 7, 2**128, 13]
-        assert deserialize_int_list(serialize_int_list(values)) == values
-        assert deserialize_int_list(serialize_int_list([])) == []
-
-    def test_hybrid_round_trip(self):
-        from repro.crypto.hybrid import HybridCiphertext
-
-        ciphertext = HybridCiphertext(
-            wrapped_keys={b"fp2": b"wrapped2", b"fp1": b"wrapped1"},
-            body=b"\x00\x01payload",
-        )
-        restored = deserialize_hybrid(serialize_hybrid(ciphertext))
-        assert dict(restored.wrapped_keys) == dict(ciphertext.wrapped_keys)
-        assert restored.body == ciphertext.body
-
-    @pytest.mark.parametrize("mutate", ["truncate", "flip", "extend"])
-    def test_corrupt_blobs_rejected(self, mutate):
-        from repro.crypto.hybrid import HybridCiphertext
-
-        blob = serialize_hybrid(
-            HybridCiphertext(wrapped_keys={b"fp": b"w"}, body=b"body")
-        )
-        if mutate == "truncate":
-            corrupt = blob[: len(blob) // 2]
-        elif mutate == "flip":
-            corrupt = bytes([blob[0] ^ 0xFF]) + blob[1:]
-        else:
-            corrupt = blob + b"trailing"
-        with pytest.raises(StorageError):
-            deserialize_hybrid(corrupt)
-
-    def test_corrupt_int_list_rejected(self):
-        blob = serialize_int_list([1, 2, 3])
-        with pytest.raises(StorageError):
-            deserialize_int_list(bytes([blob[0] ^ 0xFF]) + blob[1:])

@@ -14,19 +14,8 @@ from repro import Federation, run_join_query
 from repro.core.runner import reference_join
 from repro.mediation.access_control import allow_all
 from repro.relational.encoding import encode_relation
-from repro.storage import MemoryBackend, SQLiteBackend
 
 QUERY = "select * from R1 natural join R2"
-
-
-@pytest.fixture(params=["memory", "sqlite"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        instance = MemoryBackend()
-    else:
-        instance = SQLiteBackend(str(tmp_path / "invalidation.db"))
-    yield instance
-    instance.close()
 
 
 @pytest.fixture
