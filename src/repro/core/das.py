@@ -218,7 +218,7 @@ def _encrypt_source(
         f"{config.strategy}:{config.buckets}:{attribute}".encode()
     )
 
-    def build_index_table(missing: list[int]) -> list[IndexTable]:
+    def fresh_index_table(missing: list[int]) -> list[IndexTable]:
         active_domain = relation.active_domain(attribute)
         partitions = _partition_domain(config, active_domain, attribute)
         return [
@@ -234,7 +234,7 @@ def _encrypt_source(
         slots=lambda: [
             b"itable:" + relation_fingerprint(relation) + table_tag
         ],
-        compute=build_index_table,
+        compute=fresh_index_table,
         encode=encode_value,
         decode=_decode_index_table,
     )[0]
